@@ -70,7 +70,7 @@ let backends_arg =
            $(b,store)[:$(i,SHARDS)] (hash-partitioned) or $(b,columnar) \
            (interned column store). Repeatable on sweeping subcommands; \
            single-backend subcommands reject repeats. Default: the \
-           library's sharded store.")
+           columnar store.")
 
 (* single-backend subcommands go through this validator so a repeated
    --backend fails loudly instead of silently dropping one *)

@@ -23,12 +23,6 @@ let c_backend_mismatches = Obs.Counter.create "fuzz.backend.mismatches"
 let c_planner_checks = Obs.Counter.create "fuzz.planner.checks"
 let c_planner_divergences = Obs.Counter.create "fuzz.planner.divergences"
 
-(** Forced planner fallbacks observed across {!planner_agreement} —
-    decisions where the kernel was structurally refused rather than
-    priced. The hypertree-decomposed kernel retired the cyclic forced
-    reason, so this is expected to stay at zero (CI pins it). *)
-let c_planner_forced = Obs.Counter.create "fuzz.planner.forced"
-
 type run = {
   run_learner : string;
   run_backend : string;  (** printable spec, ["default"] when unset *)
@@ -120,9 +114,7 @@ let verdicts ~base (runs : run list) =
     variants are exactly where cyclic cores appear — are evaluated
     with the batch kernel enabled and again through pure per-example
     θ-subsumption, and the vectors compared bit-for-bit
-    ([fuzz.planner.checks] / [fuzz.planner.divergences]). Forced
-    fallbacks observed along the way land in [fuzz.planner.forced]
-    (expected 0: every decision is cost-based now). Returns the
+    ([fuzz.planner.checks] / [fuzz.planner.divergences]). Returns the
     diverging (variant, clause) pairs, which must be empty. *)
 let planner_agreement ?backend (ds : Dataset.t) =
   let module Coverage = Castor_ilp.Coverage in
@@ -134,7 +126,6 @@ let planner_agreement ?backend (ds : Dataset.t) =
     in
     go k l
   in
-  let forced0 = Obs.Counter.value Coverage.c_batch_fallbacks in
   let diverging = ref [] in
   List.iter
     (fun (vname, _) ->
@@ -165,8 +156,6 @@ let planner_agreement ?backend (ds : Dataset.t) =
           end)
         (prefixes @ closed))
     ds.Dataset.variants;
-  Obs.Counter.add c_planner_forced
-    (Obs.Counter.value Coverage.c_batch_fallbacks - forced0);
   List.rev !diverging
 
 (** [backend_mismatches runs] — (learner, variant) pairs whose

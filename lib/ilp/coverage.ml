@@ -8,11 +8,11 @@
 
     All data access goes through the {!Castor_relational.Backend}
     seam: [build] takes a {!Backend.spec} selecting the substrate
-    (flat instance or sharded store), saturation reads through it, and
-    the example-saturation database the batch kernel runs on is itself
-    a backend. Strategy selection per candidate clause — cached
-    vector, batched semi-join, per-example subsumption — is delegated
-    to the cost-based {!Planner}.
+    (columnar engine, flat instance or sharded store), saturation reads
+    through it, and the example-saturation database the batch kernel
+    runs on is itself a backend. Strategy selection per candidate
+    clause — cached vector, batched semi-join, per-example subsumption
+    — is delegated to the cost-based {!Planner}.
 
     Two optimizations from the paper are implemented here: a
     memoization table keyed by {!Clause.canonical_key} — a structural,
@@ -160,10 +160,11 @@ let saturate_all ?expand ~params ~backend inst examples =
 
 (** [build ?expand ~params ~max_steps ?backend inst examples]
     precomputes the saturations of [examples]. [backend] selects the
-    storage substrate ({!Backend.spec}; default the sharded store)
-    that both saturation neighborhood queries and the batched coverage
-    kernel run against. The structure subscribes to [inst]'s delta
-    stream, so later mutations are absorbed incrementally. *)
+    storage substrate ({!Backend.spec}; default {!Backend.default_spec},
+    the columnar engine) that both saturation neighborhood queries and
+    the batched coverage kernel run against. The structure subscribes
+    to [inst]'s delta stream, so later mutations are absorbed
+    incrementally. *)
 let build ?expand ~params ?(max_steps = 250_000)
     ?(backend = Backend.default_spec) inst (examples : Atom.t array) =
   let source = Backend.of_instance inst in
@@ -247,9 +248,7 @@ let dirty_log_cap = 32
 
 (* ---------------- refresh: full fallback ---------------------------- *)
 
-(* Rebuild everything derived from the source instance, from scratch.
-   The planner's statistics memo is dropped too: it may hold
-   distinct counts stamped by the example store being replaced. *)
+(* Rebuild everything derived from the source instance, from scratch. *)
 let full_refresh t gen =
   Obs.Counter.incr c_full_refreshes;
   let data = Backend.load t.spec t.inst in
@@ -262,7 +261,6 @@ let full_refresh t gen =
   Hashtbl.reset t.cache;
   t.dirty_log <- [];
   t.log_floor <- gen;
-  Planner.invalidate_statistics ();
   t.src_gen <- gen
 
 (* ---------------- refresh: incremental patch ------------------------ *)
@@ -431,16 +429,13 @@ let backend_spec t = t.spec
     store are rebuilt under [spec] and subsequent refreshes patch
     through them. Bottom clauses are canonical — independent of the
     serving backend — so they are kept; coverage semantics are
-    unchanged by construction. The planner's memoized statistics are
-    invalidated: they were stamped with the replaced store's
-    generations, which the fresh substrate restarts. *)
+    unchanged by construction. *)
 let set_backend t spec =
   if spec <> t.spec then begin
     t.spec <- spec;
     t.data <- Backend.load spec t.inst;
     t.ex_store <- example_store ~spec t.inst t.examples t.bottoms;
-    t.eids <- Array.init (Array.length t.examples) Fun.id;
-    Planner.invalidate_statistics ()
+    t.eids <- Array.init (Array.length t.examples) Fun.id
   end
 
 (** The example-saturation backend, when the kernel is available —
@@ -455,11 +450,8 @@ let clear_cache t = Hashtbl.reset t.cache
    kernel-eligible (store available, batching on — whatever strategy
    the cost model then picked). Since the kernel runs over a
    generalized hypertree decomposition, cyclic clauses are eligible
-   too and the forced-fallback counter is retired: it stays recorded
-   (CI pins it) but nothing increments it anymore. *)
+   too. *)
 let c_batch_eligible = Obs.Counter.create "ilp.coverage.batch_eligible"
-
-let c_batch_fallbacks = Obs.Counter.create "ilp.coverage.batch_fallbacks"
 
 let note_plan_reason (d : Planner.decision) =
   match d.Planner.reason with

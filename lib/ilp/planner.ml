@@ -58,8 +58,6 @@ let c_est_cost = Obs.Counter.create "ilp.planner.est_cost"
 
 let c_actual_cost = Obs.Counter.create "ilp.planner.actual_cost"
 
-let c_stat_invalidations = Obs.Counter.create "ilp.planner.stat_invalidations"
-
 (** Summed decomposition width over every costed decision, and the
     number of decisions whose clause needed a wide (width >= 2, i.e.
     cyclic-core) decomposition — together they expose how often the
@@ -67,30 +65,6 @@ let c_stat_invalidations = Obs.Counter.create "ilp.planner.stat_invalidations"
 let c_width_sum = Obs.Counter.create "ilp.planner.decomp_width"
 
 let c_wide_decisions = Obs.Counter.create "ilp.planner.decomp_wide"
-
-(* Planner-owned statistics memo: [distinct_count] probes keyed by
-   (relation, column) and stamped with the generation of the store
-   they were read from. Hash substrates compute distinct counts by
-   rescanning the column, so the same few probes repeated for every
-   candidate clause would make estimation itself O(n). The memo is
-   only ever touched from (single-threaded) cost estimation, and it
-   MUST be dropped when the serving store is swapped out from under
-   the planner ({!Coverage.set_backend} re-bases onto a new substrate
-   whose generation counter starts over — a stale entry stamped by the
-   old store could otherwise match the new store's generation by
-   coincidence and serve the wrong statistic). *)
-let stat_memo : (string * int, int * int) Hashtbl.t = Hashtbl.create 64
-
-(** Drop every memoized statistic. Called on re-base
-    ({!Coverage.set_backend}); counted under
-    [ilp.planner.stat_invalidations]. *)
-let invalidate_statistics () =
-  Obs.Counter.incr c_stat_invalidations;
-  Hashtbl.reset stat_memo
-
-(** Number of live memoized statistics (exposed for the re-base
-    regression test). *)
-let statistics_size () = Hashtbl.length stat_memo
 
 type strategy =
   | Semijoin of Algebra.pattern list * Hypergraph.decomposition
@@ -129,30 +103,14 @@ let pattern_of_atom (a : Atom.t) =
         a.Atom.args;
   }
 
-(* One distinct-count statistic, through the memo. A backend with the
-   [pushdown] capability serves exact O(1) statistics natively
-   (columnar posting lists), so it bypasses the memo entirely; hash
-   substrates answer by rescanning the column, so their probes are
-   memoized per (relation, column, generation). *)
-let distinct_stat (backend : Backend.t) rel pos =
-  let module B = (val backend) in
-  if B.capabilities.Backend.pushdown then B.distinct_count rel pos
-  else begin
-    let g = B.generation () in
-    match Hashtbl.find_opt stat_memo (rel, pos) with
-    | Some (g', n) when g' = g -> n
-    | _ ->
-        let n = B.distinct_count rel pos in
-        Hashtbl.replace stat_memo (rel, pos) (g, n);
-        n
-  end
-
 (* Estimated rows one pattern scan touches across all partitions: the
    relation cardinality scaled by the selectivity of every
    constant-bearing column under the independence assumption —
    [card × Π_j 1/distinct_count(j)] — a full scan when the pattern
    carries no constant. Pattern arg j lives at stored column j+1
-   (column 0 is the example id). *)
+   (column 0 is the example id). Distinct counts come straight from
+   the backend: columnar serves them exactly in O(1), and the hash
+   substrates memoize them per generation. *)
 let scan_estimate (backend : Backend.t) (p : Algebra.pattern) =
   let module B = (val backend) in
   if not (B.has_relation p.Algebra.prel) then 0.
@@ -163,7 +121,7 @@ let scan_estimate (backend : Backend.t) (p : Algebra.pattern) =
       (fun j a ->
         match a with
         | Algebra.Aconst _ ->
-            let d = distinct_stat backend p.Algebra.prel (j + 1) in
+            let d = B.distinct_count p.Algebra.prel (j + 1) in
             if d > 0 then est := !est /. float_of_int d
         | Algebra.Avar _ -> ())
       p.Algebra.pargs;

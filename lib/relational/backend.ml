@@ -398,7 +398,10 @@ let of_columnar = Columnar_backend.make
     the value the [--backend] CLI flag and the learner config carry. *)
 type spec = Flat | Sharded of int | Columnar
 
-let default_spec = Sharded Store.default_shards
+(** The substrate every coverage structure and saturation runs on
+    unless told otherwise: the columnar engine, whose exact statistics
+    and memoized pushdown scan far fewer rows than the hash layouts. *)
+let default_spec = Columnar
 
 let spec_to_string = function
   | Flat -> "instance"

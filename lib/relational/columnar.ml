@@ -26,12 +26,22 @@
       learning: every candidate clause containing an atom re-scans
       that relation) costs zero row visits.
 
-    Slots are append-only: [remove] tombstones a row (its postings are
-    spliced, its [live] bit cleared) and never reuses the slot, so
-    posting lists stay sorted by construction. Like the other
-    substrates, every effective mutation is appended to a {!Delta.Log}
-    — the generation is the log length and subscribers see each
-    effective delta batch.
+    Slots are append-only between compactions: [remove] tombstones a
+    row (its postings are spliced, its [live] bit cleared) and never
+    reuses the slot, so posting lists stay sorted by construction.
+    Tombstones are reclaimed by {e compaction}, which renumbers the
+    live slots in their current order: the old→new map is monotone, so
+    posting lists stay sorted after an in-place remap and every scan
+    enumerates rows in the same order as before. An insert that finds
+    the columns full compacts instead of doubling when at most half
+    the slots are live, and a remove compacts once tombstones
+    outnumber [max live 16], so under churn a relation occupies at
+    most [2 × max live 16] slots. Compaction is not a delta: the
+    generation does not move, and the pushdown memo (which holds
+    values, not slots) stays valid. Like the other substrates, every
+    effective mutation is appended to a {!Delta.Log} — the generation
+    is the log length and subscribers see each effective delta
+    batch.
 
     Everything is instrumented under [columnar.*]. *)
 
@@ -52,6 +62,8 @@ let c_pushdowns = Obs.Counter.create "columnar.pushdowns"
 let c_pushdown_hits = Obs.Counter.create "columnar.pushdown_hits"
 
 let c_rows_decoded = Obs.Counter.create "columnar.rows_decoded"
+
+let c_compactions = Obs.Counter.create "columnar.compactions"
 
 exception Arity_mismatch of string
 
@@ -289,23 +301,57 @@ let mem t rel (tu : Tuple.t) =
    without logging, so a batch [apply] can notify subscribers once;
    [add]/[remove] are the public singleton forms. *)
 
+(* Reclaim tombstoned slots: move every live row down to the next free
+   slot, in slot order, and remap the posting lists through the
+   (monotone) old→new map. Posting lists only ever hold live slots. *)
+let compact cr =
+  Obs.Counter.incr c_compactions;
+  let remap = Array.make cr.n_slots (-1) in
+  let next = ref 0 in
+  for slot = 0 to cr.n_slots - 1 do
+    if is_live cr slot then begin
+      remap.(slot) <- !next;
+      incr next
+    end
+  done;
+  Array.iter
+    (fun col ->
+      for slot = 0 to cr.n_slots - 1 do
+        if remap.(slot) >= 0 then col.(remap.(slot)) <- col.(slot)
+      done)
+    cr.cols;
+  Bytes.fill cr.live 0 !next '\001';
+  Bytes.fill cr.live !next (cr.n_slots - !next) '\000';
+  cr.n_slots <- !next;
+  Hashtbl.iter
+    (fun _ p ->
+      for k = 0 to p.plen - 1 do
+        p.ids.(k) <- remap.(p.ids.(k))
+      done)
+    cr.postings
+
 let insert t rel (tu : Tuple.t) =
   if mem t rel tu then false
   else begin
     let cr = crel t rel in
+    (* columns full: reclaim the tombstones when at most half the
+       slots are live, double the columns otherwise *)
     if cr.n_slots = cr.cap then begin
-      let cap' = max 16 (2 * cr.cap) in
-      cr.cols <-
-        Array.map
-          (fun col ->
-            let grown = Array.make cap' 0 in
-            Array.blit col 0 grown 0 cr.n_slots;
-            grown)
-          cr.cols;
-      let live' = Bytes.make cap' '\000' in
-      Bytes.blit cr.live 0 live' 0 cr.n_slots;
-      cr.live <- live';
-      cr.cap <- cap'
+      if cr.cap > 0 && 2 * cr.count <= cr.cap then compact cr
+      else begin
+        let cap' = max 16 (2 * cr.cap) in
+        cr.cols <-
+          Array.map
+            (fun col ->
+              let grown = Array.make cap' 0 in
+              Array.blit col 0 grown 0 cr.n_slots;
+              grown)
+            cr.cols;
+        let live' = Bytes.make cap' '\000' in
+        Bytes.blit cr.live 0 live' 0 cr.n_slots;
+        cr.live <- live';
+        cr.cap <- cap'
+      end
     end;
     let slot = cr.n_slots in
     cr.n_slots <- slot + 1;
@@ -330,6 +376,7 @@ let delete t rel (tu : Tuple.t) =
       Array.iteri (fun p _ -> posting_remove cr p cr.cols.(p).(slot) slot) tu;
       Bytes.set cr.live slot '\000';
       cr.count <- cr.count - 1;
+      if cr.n_slots - cr.count > max cr.count 16 then compact cr;
       Obs.Counter.incr c_removes;
       true
 
@@ -384,6 +431,11 @@ let tuples t rel =
   !out
 
 let cardinality t rel = (crel t rel).count
+
+(** [slots t rel] — slots [rel] occupies: its live rows plus the
+    tombstones not yet compacted away. Compaction keeps it at most
+    [2 × max (cardinality t rel) 16]. *)
+let slots t rel = (crel t rel).n_slots
 
 let size t = Hashtbl.fold (fun _ cr acc -> acc + cr.count) t.rels 0
 

@@ -1,7 +1,7 @@
 (* The delta-API battery: the explicit mutation surface of Backend
    (apply / subscribe / generation-from-log) on every substrate, the
-   incrementally maintained Datalog views, the planner's statistics
-   invalidation on re-base, and the online coverage path — a
+   incrementally maintained Datalog views, per-store planner
+   statistics, and the online coverage path — a
    single-tuple add/remove on a non-target relation must patch the
    coverage structure without a full refresh, and random interleaved
    mutation streams must leave the incremental structure bit-for-bit
@@ -188,36 +188,44 @@ let va x = Term.Var x
 let p_clause =
   Clause.make (Atom.make "t" [ va "A" ]) [ Atom.make "p" [ va "A"; va "B" ] ]
 
-(* ---------------- planner statistics invalidation ------------------- *)
+(* ---------------- planner statistics per store ---------------------- *)
 
 let planner_suite =
   [
-    tc "set_backend drops the planner's memoized statistics" (fun () ->
-        Planner.invalidate_statistics ();
-        check Alcotest.int "clean slate" 0 (Planner.statistics_size ());
-        let inst, examples = random_problem 3 in
-        let cov =
-          Coverage.build ~params:Bottom.default_params
-            ~backend:(Backend.Sharded 2) inst examples
+    tc "stores at the same generation each plan on their own statistics"
+      (fun () ->
+        (* the positive and negative example stores share relation
+           names and can share a generation; a statistic keyed on
+           (relation, column, generation) alone would serve one store's
+           distinct count to the other *)
+        let pattern =
+          {
+            Algebra.prel = "p";
+            pargs = [| Algebra.Aconst (c 1); Algebra.Avar "B" |];
+          }
         in
-        (* a constant-bearing pattern makes cost estimation probe
-           [distinct_count] on the (hash, non-pushdown) example store,
-           which lands in the planner's global memo *)
-        let with_const =
-          Clause.make (Atom.make "t" [ va "A" ])
-            [ Atom.make "p" [ va "A"; Term.Const (c 1) ] ]
-        in
-        ignore
-          (Planner.choose ~batch_enabled:true ~ex_store:(Coverage.store cov)
-             ~n_undecided:4 ~avg_bottom_len:3.0 with_const);
-        check Alcotest.bool "memo populated by estimation" true
-          (Planner.statistics_size () > 0);
-        let inv0 = Obs.Counter.value Planner.c_stat_invalidations in
-        Coverage.set_backend cov (Backend.Sharded 4);
-        check Alcotest.int "re-base drops every memoized statistic" 0
-          (Planner.statistics_size ());
-        check Alcotest.int "and counts the invalidation" (inv0 + 1)
-          (Obs.Counter.value Planner.c_stat_invalidations));
+        List.iter
+          (fun spec ->
+            (* column 0 is the example id, as in a real example store *)
+            let store rows =
+              let b = Backend.create spec [ ("p", 3) ] in
+              Backend.apply b
+                (List.map
+                   (fun (x, y) ->
+                     Delta.Add ("p", Tuple.of_list [ Value.int 0; c x; c y ]))
+                   rows);
+              b
+            in
+            let spread = store [ (1, 2); (2, 3) ]
+            and skewed = store [ (1, 2); (1, 3) ] in
+            let name = Backend.spec_to_string spec in
+            check Alcotest.int (name ^ ": same generation")
+              (Backend.generation spread) (Backend.generation skewed);
+            check (Alcotest.float 1e-9) (name ^ ": two distinct values") 1.0
+              (Planner.scan_estimate spread pattern);
+            check (Alcotest.float 1e-9) (name ^ ": one distinct value") 2.0
+              (Planner.scan_estimate skewed pattern))
+          specs);
   ]
 
 (* ---------------- online coverage: the acceptance path -------------- *)

@@ -238,6 +238,23 @@ let registry_suite =
           (on (Some Castor_relational.Backend.Flat));
         check Alcotest.(list string) "store:2" base
           (on (Some (Castor_relational.Backend.Sharded 2))));
+    tc "Castor learns the same UW-CSE clauses on every backend" (fun () ->
+        let module Experiment = Castor_eval.Experiment in
+        let ds = Castor_datasets.Uwcse.generate () in
+        List.iter
+          (fun (vname, _) ->
+            let learn backend =
+              let prep = Experiment.prepare ?backend ds vname in
+              let def = Experiment.train_full prep (Castor_eval.Algos.castor ()) in
+              List.map Clause.to_string def.Clause.clauses
+            in
+            let base = learn None in
+            check Alcotest.bool (vname ^ ": learned something") true (base <> []);
+            check Alcotest.(list string) (vname ^ ": flat") base
+              (learn (Some Backend.Flat));
+            check Alcotest.(list string) (vname ^ ": store:4") base
+              (learn (Some (Backend.Sharded 4))))
+          ds.Castor_datasets.Dataset.variants);
   ]
 
 let suite =

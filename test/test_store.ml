@@ -1,10 +1,13 @@
 (* Sharded store and delta-maintained secondary indexes: random
    add/remove interleavings must leave both the flat Instance index and
    the sharded Store indexes identical to a from-scratch rebuild, and
-   every access path must agree with a naive scan. *)
+   every access path must agree with a naive scan. The columnar engine
+   gets the same treatment, plus a long churn that forces tombstone
+   compaction. *)
 
 open Castor_relational
 open Helpers
+module Obs = Castor_obs.Obs
 
 let v i = Value.str (Printf.sprintf "v%d" i)
 
@@ -299,6 +302,39 @@ let columnar_suite =
                        (fun tu -> Array.exists (fun x -> Value.equal x (v i)) tu)
                        model)))
              [ 0; 1; 2; 3; 4; 5 ]);
+    qt ~count:100 "compaction under churn: consistent, ordered, bounded"
+      QCheck2.Gen.(
+        list_size (int_range 300 600)
+          (pair bool
+             (map
+                (fun (a, b, c) -> Tuple.of_list [ v a; v b; v c ])
+                (triple (int_bound 2) (int_bound 2) (int_bound 2)))))
+      (fun ops ->
+        (* 27 possible rows keep the relation small, so a few dozen
+           removes already outnumber the live rows and force a
+           compaction; the model is the live rows newest first *)
+        let c = Columnar.create [ ("r", 3) ] in
+        let compactions0 = Obs.Counter.value Columnar.c_compactions in
+        let model = ref [] and effective = ref 0 in
+        List.for_all
+          (fun (add, tu) ->
+            let present = List.exists (Tuple.equal tu) !model in
+            if add then begin
+              ignore (Columnar.add c "r" tu);
+              if not present then model := tu :: !model
+            end
+            else begin
+              ignore (Columnar.remove c "r" tu);
+              model := List.filter (fun x -> not (Tuple.equal x tu)) !model
+            end;
+            if add <> present then incr effective;
+            let live = Columnar.cardinality c "r" in
+            Columnar.consistent c
+            && List.equal Tuple.equal (Columnar.tuples c "r") !model
+            && Columnar.slots c "r" <= 2 * max live 16
+            && Columnar.generation c = !effective)
+          ops
+        && Obs.Counter.value Columnar.c_compactions > compactions0);
   ]
 
 let suite = instance_suite @ store_suite @ spec_suite @ columnar_suite
