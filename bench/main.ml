@@ -349,6 +349,20 @@ let ablation () =
 (* Batched semi-join coverage kernel                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Candidate clauses the way the generalization search meets them: the
+   body prefixes of the first [n] examples' variabilized saturations,
+   one per length in [lengths]. *)
+let prefixes cov ~n ~lengths =
+  List.concat_map
+    (fun i ->
+      let bc, _ = Clause.variabilize cov.Castor_ilp.Coverage.bottoms.(i) in
+      List.map
+        (fun k ->
+          Clause.make bc.Clause.head
+            (List.filteri (fun j _ -> j < k) bc.Clause.body))
+        lengths)
+    (List.init (min n (Castor_ilp.Coverage.length cov)) Fun.id)
+
 let coverage_batch () =
   section
     "Coverage batch -- batched semi-join kernel vs per-example subsumption";
@@ -358,24 +372,7 @@ let coverage_batch () =
   (* the cache would turn the second measurement into pure hits *)
   Castor_ilp.Coverage.set_cache pos false;
   Castor_ilp.Coverage.set_cache neg false;
-  let take k l =
-    let rec go k = function
-      | x :: tl when k > 0 -> x :: go (k - 1) tl
-      | _ -> []
-    in
-    go k l
-  in
-  (* candidate clauses: body prefixes of variabilized saturations, the
-     shapes the generalization search actually walks through *)
-  let clauses =
-    List.concat_map
-      (fun i ->
-        let bc, _ = Clause.variabilize pos.Castor_ilp.Coverage.bottoms.(i) in
-        List.map
-          (fun k -> Clause.make bc.Clause.head (take k bc.Clause.body))
-          [ 1; 2; 3; 4; 6 ])
-      (List.init (min 12 (Castor_ilp.Coverage.length pos)) Fun.id)
-  in
+  let clauses = prefixes pos ~n:12 ~lengths:[ 1; 2; 3; 4; 6 ] in
   let run_all () =
     List.map
       (fun c ->
@@ -418,13 +415,9 @@ let coverage_batch () =
       failwith
         ("coverage_batch: backend " ^ Backend.spec_to_string spec
        ^ " disagrees with Subsume");
-    let tag =
-      String.map
-        (fun c -> if c = ':' then '_' else c)
-        (Backend.spec_to_string spec)
-    in
     Obs.Counter.add
-      (Obs.Counter.create ("bench.coverage_batch.rows_scanned." ^ tag))
+      (Obs.Counter.create
+         ("bench.coverage_batch.rows_scanned." ^ Backend.spec_to_string spec))
       rows;
     Fmt.pr "  backend %-10s %8.3f s  %9d rows scanned@."
       (Backend.spec_to_string spec) t rows
@@ -443,22 +436,7 @@ let planner () =
   let pos = prep.Experiment.all_pos and neg = prep.Experiment.all_neg in
   Castor_ilp.Coverage.set_cache pos false;
   Castor_ilp.Coverage.set_cache neg false;
-  let take k l =
-    let rec go k = function
-      | x :: tl when k > 0 -> x :: go (k - 1) tl
-      | _ -> []
-    in
-    go k l
-  in
-  let clauses =
-    List.concat_map
-      (fun i ->
-        let bc, _ = Clause.variabilize pos.Castor_ilp.Coverage.bottoms.(i) in
-        List.map
-          (fun k -> Clause.make bc.Clause.head (take k bc.Clause.body))
-          [ 1; 2; 3; 4; 6 ])
-      (List.init (min 12 (Castor_ilp.Coverage.length pos)) Fun.id)
-  in
+  let clauses = prefixes pos ~n:12 ~lengths:[ 1; 2; 3; 4; 6 ] in
   let run_all () =
     List.map
       (fun c ->
@@ -478,28 +456,15 @@ let planner () =
   let reference, t_subs = timed_vectors () in
   Castor_ilp.Coverage.set_batch pos true;
   Castor_ilp.Coverage.set_batch neg true;
-  let specs =
-    [
-      Backend.Flat;
-      Backend.Sharded 1;
-      Backend.Sharded 2;
-      Backend.Sharded 4;
-      Backend.Sharded 7;
-      Backend.Columnar;
-    ]
-  in
+  let specs = [ Backend.Flat; Backend.Columnar ] in
   Fmt.pr "%d candidate clauses, planner on, per backend (UW-CSE original):@."
     (List.length clauses);
   let t_last = ref t_subs in
   (* per-backend kernel scan work, exported as its own counter so the
      CI gate can require columnar strictly below flat in one dump *)
   let scan_counter spec =
-    let tag =
-      String.map
-        (fun c -> if c = ':' then '_' else c)
-        (Backend.spec_to_string spec)
-    in
-    Obs.Counter.create ("bench.planner.rows_scanned." ^ tag)
+    Obs.Counter.create
+      ("bench.planner.rows_scanned." ^ Backend.spec_to_string spec)
   in
   List.iter
     (fun spec ->
@@ -539,29 +504,14 @@ let cyclic () =
   let prep = Experiment.prepare ds "original" in
   let pos = prep.Experiment.all_pos in
   Castor_ilp.Coverage.set_cache pos false;
-  let take k l =
-    let rec go k = function
-      | x :: tl when k > 0 -> x :: go (k - 1) tl
-      | _ -> []
-    in
-    go k l
-  in
   (* cyclic candidates: close a cycle over body prefixes of the
      variabilized saturations -- exactly the shapes that used to force
      the per-example subsumption fallback *)
-  let prefixes =
-    List.concat_map
-      (fun i ->
-        let bc, _ = Clause.variabilize pos.Castor_ilp.Coverage.bottoms.(i) in
-        List.map
-          (fun k -> Clause.make bc.Clause.head (take k bc.Clause.body))
-          [ 2; 3; 4 ])
-      (List.init (min 8 (Castor_ilp.Coverage.length pos)) Fun.id)
-  in
-  let clauses = List.filter_map Castor_ilp.Planner.close_cycle prefixes in
+  let bodies = prefixes pos ~n:8 ~lengths:[ 2; 3; 4 ] in
+  let clauses = List.filter_map Castor_ilp.Planner.close_cycle bodies in
   if clauses = [] then failwith "cyclic: no prefix closed into a cycle";
   Fmt.pr "%d cyclic candidates closed from %d prefixes (UW-CSE original)@."
-    (List.length clauses) (List.length prefixes);
+    (List.length clauses) (List.length bodies);
   (* reference: per-example subsumption; its work is search steps plus
      the arc-consistency candidate scans (AC refutes most cyclic
      probes before the step counter moves, so steps alone would credit
@@ -600,16 +550,7 @@ let cyclic () =
       (c.Clause.head :: c.Clause.body)
   in
   let eids = Array.init (Castor_ilp.Coverage.length pos) Fun.id in
-  let specs =
-    [
-      Backend.Flat;
-      Backend.Sharded 1;
-      Backend.Sharded 2;
-      Backend.Sharded 4;
-      Backend.Sharded 7;
-      Backend.Columnar;
-    ]
-  in
+  let specs = [ Backend.Flat; Backend.Columnar ] in
   let kernel_work spec =
     Castor_ilp.Coverage.set_backend pos spec;
     let store = Option.get (Castor_ilp.Coverage.store pos) in
@@ -631,12 +572,10 @@ let cyclic () =
       clauses;
     let t = Unix.gettimeofday () -. t0 in
     let w = work () - work0 in
-    let tag =
-      String.map
-        (fun ch -> if ch = ':' then '_' else ch)
-        (Backend.spec_to_string spec)
-    in
-    Obs.Counter.add (Obs.Counter.create ("bench.cyclic.rows_scanned." ^ tag)) w;
+    Obs.Counter.add
+      (Obs.Counter.create
+         ("bench.cyclic.rows_scanned." ^ Backend.spec_to_string spec))
+      w;
     Fmt.pr
       "  backend %-10s %8.3f s  %9d rows+seeks  (matches subsumption \
        bit-for-bit)@."
@@ -645,7 +584,7 @@ let cyclic () =
   in
   let works = List.map kernel_work specs in
   (* the headline kernel-work number is the best backend (columnar,
-     where select/project pushdown applies): flat layouts pay extra
+     where select/project pushdown applies): the flat layout pays extra
      scanned rows to the storage seam, not to the kernel itself. The
      CI gate requires this to undercut the subsumption work. *)
   let best = List.fold_left min max_int works in
@@ -661,13 +600,6 @@ let incremental () =
   section
     "Incremental -- delta-driven online coverage vs from-scratch rebuild \
      (UW-CSE tuple-stream replay)";
-  let take k l =
-    let rec go k = function
-      | x :: tl when k > 0 -> x :: go (k - 1) tl
-      | _ -> []
-    in
-    go k l
-  in
   let replay spec =
     (* fresh dataset per backend so every sweep replays the same stream
        from the same start state *)
@@ -676,15 +608,7 @@ let incremental () =
     let v = prep.Experiment.pvariant in
     let inst = v.Dataset.vinstance in
     let pos = prep.Experiment.all_pos in
-    let clauses =
-      List.concat_map
-        (fun i ->
-          let bc, _ = Clause.variabilize pos.Castor_ilp.Coverage.bottoms.(i) in
-          List.map
-            (fun k -> Clause.make bc.Clause.head (take k bc.Clause.body))
-            [ 1; 2; 4 ])
-        (List.init (min 8 (Castor_ilp.Coverage.length pos)) Fun.id)
-    in
+    let clauses = prefixes pos ~n:8 ~lengths:[ 1; 2; 4 ] in
     let run_all cov =
       List.map (fun c -> Castor_ilp.Coverage.vector cov c) clauses
     in
@@ -722,20 +646,16 @@ let incremental () =
       failwith
         ("incremental: patched coverage diverges from rebuild on backend "
         ^ Backend.spec_to_string spec);
-    let tag =
-      String.map
-        (fun c -> if c = ':' then '_' else c)
-        (Backend.spec_to_string spec)
-    in
     Obs.Counter.add
-      (Obs.Counter.create ("bench.incremental.deltas." ^ tag))
+      (Obs.Counter.create
+         ("bench.incremental.deltas." ^ Backend.spec_to_string spec))
       effective;
     Fmt.pr
       "  backend %-10s %3d deltas absorbed: replay %8.3f s, one rebuild \
        %8.3f s  (matches rebuild bit-for-bit)@."
       (Backend.spec_to_string spec) effective t_inc t_rebuild
   in
-  List.iter replay [ Backend.Flat; Backend.Sharded 4; Backend.Columnar ];
+  List.iter replay [ Backend.Flat; Backend.Columnar ];
   Fmt.pr
     "full refreshes %d (the online-update promise is zero), deltas applied \
      %d, examples re-saturated %d, cached vectors patched %d@."

@@ -31,10 +31,6 @@ let algo_of_name ?gate ?domains ?backend name =
       ^ String.concat "|" (Learner.names ())
       ^ ")")
 
-let backend_of_string s =
-  try Backend.spec_of_string s
-  with Invalid_argument m -> failwith m
-
 (* ------------------- shared flag surface ------------------------ *)
 (* One parser per flag, shared by every subcommand that accepts it,
    so `--backend`, `--json`, `-o` and `--seed` spell and behave the
@@ -61,22 +57,29 @@ let seed_arg =
            generation, sampling). Deterministic subcommands accept and \
            ignore it, so scripted sweeps can pass one uniform flag set.")
 
+(* an unknown or retired spec is a usage error (exit 124), not an
+   uncaught exception *)
+let backend_conv =
+  let parse s =
+    try Ok (Backend.spec_of_string s) with Invalid_argument m -> Error (`Msg m)
+  in
+  Arg.conv (parse, fun ppf b -> Fmt.string ppf (Backend.spec_to_string b))
+
 let backends_arg =
   Arg.(
-    value & opt_all string []
-    & info [ "backend" ]
+    value & opt_all backend_conv []
+    & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
-          "Storage backend spec: $(b,instance) (flat, zero-copy), \
-           $(b,store)[:$(i,SHARDS)] (hash-partitioned) or $(b,columnar) \
-           (interned column store). Repeatable on sweeping subcommands; \
-           single-backend subcommands reject repeats. Default: the \
-           columnar store.")
+          "Storage backend: $(b,instance) (flat, zero-copy) or \
+           $(b,columnar) (interned column store). Repeatable on sweeping \
+           subcommands; single-backend subcommands reject repeats. \
+           Default: the columnar store.")
 
 (* single-backend subcommands go through this validator so a repeated
    --backend fails loudly instead of silently dropping one *)
 let one_backend cmd = function
   | [] -> None
-  | [ b ] -> Some (backend_of_string b)
+  | [ b ] -> Some b
   | _ -> failwith (cmd ^ ": pass --backend at most once")
 
 let write_out out doc =
@@ -548,7 +551,7 @@ let fuzz dataset seed budget max_depth learners backends no_induce no_shrink
   let backends =
     match backends with
     | [] -> [ None ]
-    | bs -> List.map (fun b -> Some (backend_of_string b)) bs
+    | bs -> List.map Option.some bs
   in
   let config =
     {

@@ -8,7 +8,7 @@
 
     All data access goes through the {!Castor_relational.Backend}
     seam: [build] takes a {!Backend.spec} selecting the substrate
-    (columnar engine, flat instance or sharded store), saturation reads
+    (columnar engine or flat instance), saturation reads
     through it, and the example-saturation database the batch kernel
     runs on is itself a backend. Strategy selection per candidate
     clause — cached vector, batched semi-join, per-example subsumption
@@ -112,9 +112,7 @@ type t = {
 
 (* Load every ground saturation into an example-keyed backend:
    relation R of arity a is stored with arity a + 1, column 0 carrying
-   the example id (also the partitioning key, so one example's
-   literals are partition-local). The target relation holds the head
-   atoms. *)
+   the example id. The target relation holds the head atoms. *)
 let example_store ~spec inst (examples : Atom.t array)
     (bottoms : Clause.t array) =
   if Array.length examples = 0 then None
@@ -507,22 +505,13 @@ let run_semijoin t patterns decomp positions =
   | None -> invalid_arg "Coverage.run_semijoin: no example store"
   | Some store ->
       let eids = Array.map (fun i -> t.eids.(i)) positions in
-      (* snapshot the mutable knobs before building the worker-seeding
-         closure: a concurrent [set_domains]/[set_force_parallel] must
-         not change the fan-out shape mid-run *)
-      let force = t.force_parallel and domains = t.domains in
-      let fanout =
-        if domains <= 1 then None
-        else Some (fun parts f -> Parallel.init ~force ~domains parts f)
-      in
       let work () =
         Obs.Counter.value Algebra.c_rows_scanned
         + Obs.Counter.value Algebra.c_leapfrog_seeks
       in
       let work0 = work () in
       let res =
-        Algebra.semijoin_batch ?fanout ~decomposition:decomp store ~patterns
-          ~eids
+        Algebra.semijoin_batch ~decomposition:decomp store ~patterns ~eids
       in
       Planner.note_actual (work () - work0);
       res

@@ -103,14 +103,13 @@ let pattern_of_atom (a : Atom.t) =
         a.Atom.args;
   }
 
-(* Estimated rows one pattern scan touches across all partitions: the
-   relation cardinality scaled by the selectivity of every
-   constant-bearing column under the independence assumption —
-   [card × Π_j 1/distinct_count(j)] — a full scan when the pattern
-   carries no constant. Pattern arg j lives at stored column j+1
-   (column 0 is the example id). Distinct counts come straight from
-   the backend: columnar serves them exactly in O(1), and the hash
-   substrates memoize them per generation. *)
+(* Estimated rows one pattern scan touches: the relation cardinality
+   scaled by the selectivity of every constant-bearing column under
+   the independence assumption — [card × Π_j 1/distinct_count(j)] — a
+   full scan when the pattern carries no constant. Pattern arg j lives
+   at stored column j+1 (column 0 is the example id). Distinct counts
+   come straight from the backend: columnar serves them exactly in
+   O(1), and the flat instance memoizes them per generation. *)
 let scan_estimate (backend : Backend.t) (p : Algebra.pattern) =
   let module B = (val backend) in
   if not (B.has_relation p.Algebra.prel) then 0.

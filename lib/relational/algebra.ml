@@ -2,7 +2,13 @@
 
     These are the two operators that define the paper's decomposition
     (projection) and composition (natural join) Horn transformations
-    (Section 4). *)
+    (Section 4).
+
+    The second half is the batched semi-join coverage kernel
+    ({!semijoin_batch}): one Yannakakis program over a {!Backend}
+    answers a whole batch of example-coverage questions, reading each
+    pattern once through the backend's scan, lookup and pushdown
+    surface. *)
 
 (** [project inst rel attrs] computes [π_attrs(inst.rel)] as a
     duplicate-free tuple list in the order of [attrs]. *)
@@ -116,8 +122,6 @@ let c_batches = Obs.Counter.create "algebra.semijoin.batches"
 
 let c_batch_examples = Obs.Counter.create "algebra.semijoin.examples"
 
-let c_shard_tasks = Obs.Counter.create "algebra.semijoin.shard_tasks"
-
 let c_rows_scanned = Obs.Counter.create "algebra.semijoin.rows_scanned"
 
 let c_semijoins = Obs.Counter.create "algebra.semijoin.semijoins"
@@ -133,9 +137,7 @@ let span_batch = Obs.Span.create "algebra.semijoin.batch"
 (** One literal of a conjunctive pattern, matched against a stored
     relation. Argument [j] of the pattern corresponds to column
     [j + 1] of the stored relation: by convention column 0 of every
-    relation in the store carries the {e example id} (an [Int]), which
-    is also the partitioning key — so a batch of examples evaluates
-    shard-locally. *)
+    relation in the store carries the {e example id} (an [Int]). *)
 type arg = Avar of string | Aconst of Value.t
 
 type pattern = { prel : string; pargs : arg array }
@@ -154,17 +156,16 @@ let pattern_vars p =
    row.(k + 1) the binding of the k-th variable of [svars]. *)
 type sj_table = { svars : string list; mutable srows : Tuple.t list }
 
-(* Scan one pattern against one backend partition. The pattern scan is
-   one select-project query: σ on the constants and repeated
-   variables, π to (eid, distinct variables), deduplicated. A backend
-   advertising the [pushdown] capability (the columnar substrate)
-   takes the whole query via [select_project] — posting-list
-   intersections instead of scan-and-filter, memoized across repeated
-   scans — and reports how many stored rows it actually visited,
-   which is what [rows_scanned] counts on the generic path below.
-   Otherwise: pick an indexed access path when the pattern carries a
-   constant, filter, project, dedup. *)
-let scan_pattern (backend : Backend.t) s (p : pattern) =
+(* Scan one pattern against the backend. The pattern scan is one
+   select-project query: σ on the constants and repeated variables, π
+   to (eid, distinct variables), deduplicated. A backend that answers
+   [select_project] (the columnar substrate) takes the whole query —
+   posting-list intersections instead of scan-and-filter, memoized
+   across repeated scans — and reports how many stored rows it
+   actually visited, which is what [rows_scanned] counts on the
+   generic path below. Otherwise: pick an indexed access path when the
+   pattern carries a constant, filter, project, dedup. *)
+let scan_pattern (backend : Backend.t) (p : pattern) =
   let module B = (val backend) in
   let vars = pattern_vars p in
   let proj_of_vars () =
@@ -181,10 +182,7 @@ let scan_pattern (backend : Backend.t) s (p : pattern) =
       vars
   in
   let pushdown =
-    if
-      B.capabilities.Backend.pushdown
-      && B.has_relation p.prel
-      && B.arity p.prel = Array.length p.pargs + 1
+    if B.has_relation p.prel && B.arity p.prel = Array.length p.pargs + 1
     then begin
       let consts = ref [] and eqs = ref [] in
       let first_pos = Hashtbl.create 8 in
@@ -197,7 +195,7 @@ let scan_pattern (backend : Backend.t) s (p : pattern) =
               | None -> Hashtbl.add first_pos x (j + 1)
               | Some p0 -> eqs := (p0, j + 1) :: !eqs))
         p.pargs;
-      B.select_project s p.prel ~consts:(List.rev !consts)
+      B.select_project p.prel ~consts:(List.rev !consts)
         ~eqs:(List.rev !eqs)
         ~project:(0 :: proj_of_vars ())
     end
@@ -222,8 +220,8 @@ let scan_pattern (backend : Backend.t) s (p : pattern) =
         !found
       in
       match const with
-      | Some (j, v) -> B.find_in_partition s p.prel (j + 1) v
-      | None -> B.partition_tuples s p.prel
+      | Some (j, v) -> B.find p.prel (j + 1) v
+      | None -> B.tuples p.prel
     end
   in
   let matches (row : Tuple.t) =
@@ -424,18 +422,44 @@ let leapfrog_bag (tables : sj_table list) =
   enum 0 (Array.init m (fun k -> (0, Array.length (fst ops.(k)))));
   { svars = bag_vars; srows = List.rev !out }
 
-(* Evaluate the whole semi-join program on one backend partition: scan
-   every pattern, materialize each decomposition bag (a singleton bag
-   reuses its pattern scan; a merged bag runs the worst-case-optimal
-   join above), run the Yannakakis bottom-up pass over the bag tree,
-   then intersect the surviving example-id sets of the component
-   roots. *)
-let run_partition backend pats (decomp : Hypergraph.decomposition) s targets =
-  Obs.Counter.incr c_shard_tasks;
-  match targets with
-  | [] -> [||]
+(** [semijoin_batch ?decomposition backend ~patterns ~eids] answers,
+    for each of the [k] example ids in [eids], whether the conjunctive
+    [patterns] have at least one satisfying assignment among the
+    example's stored tuples — k boolean coverage answers from one
+    Yannakakis semi-join program, instead of k independent subsumption
+    searches.
+
+    The kernel is backend-generic: every pattern is scanned through
+    the {!Backend} surface ([select_project] when the engine answers
+    it, else an indexed [find] or a full [tuples] scan), once for the
+    whole batch.
+
+    The pattern hypergraph (one hyperedge of variables per pattern)
+    need not be acyclic: the program runs over a generalized hypertree
+    decomposition ({!Hypergraph.decompose}). A singleton bag reuses its
+    pattern scan; a bag merging a cyclic core is materialized by the
+    worst-case-optimal join above. The bottom-up Yannakakis pass then
+    runs over the bag tree — prepending the example-id column to every
+    edge keeps it exact per example — and disconnected components are
+    joined by intersecting the surviving example-id sets of their
+    roots. [decomposition] supplies a precomputed (possibly memoized)
+    decomposition of exactly [List.map pattern_vars patterns]; it is
+    rebuilt here when absent. *)
+let semijoin_batch ?decomposition (backend : Backend.t)
+    ~(patterns : pattern list) ~(eids : int array) =
+  Obs.Span.with_span span_batch @@ fun () ->
+  Obs.Counter.incr c_batches;
+  Obs.Counter.add c_batch_examples (Array.length eids);
+  match patterns with
+  | [] -> Array.make (Array.length eids) true
+  | _ when Array.length eids = 0 -> [||]
   | _ ->
-      let tables = Array.map (scan_pattern backend s) pats in
+      let decomp =
+        match decomposition with
+        | Some d -> d
+        | None -> Hypergraph.decompose (List.map pattern_vars patterns)
+      in
+      let tables = Array.map (scan_pattern backend) (Array.of_list patterns) in
       let bag_tables =
         Array.map
           (fun members ->
@@ -459,69 +483,10 @@ let run_partition backend pats (decomp : Hypergraph.decomposition) s targets =
               root_sets := set :: !root_sets)
         decomp.Hypergraph.forest;
       let sets = !root_sets in
-      Array.of_list
-        (List.map
-           (fun eid ->
-             List.for_all (fun set -> Hashtbl.mem set (Value.int eid)) sets)
-           targets)
-
-(** [semijoin_batch ?fanout backend ~patterns ~eids] answers, for each
-    of the [k] example ids in [eids], whether the conjunctive
-    [patterns] have at least one satisfying assignment among the
-    example's stored tuples — k boolean coverage answers in one
-    Yannakakis semi-join program per backend partition, instead of k
-    independent subsumption searches.
-
-    The kernel is backend-generic: it reads only the {!Backend}
-    partition surface, so the flat instance runs as a single partition
-    and the sharded store fans one task out per shard with no
-    shard-specific code path here.
-
-    The pattern hypergraph (one hyperedge of variables per pattern)
-    need not be acyclic: the program runs over a generalized hypertree
-    decomposition ({!Hypergraph.decompose}) whose cyclic-core bags are
-    materialized by a worst-case-optimal multiway intersection before
-    the bottom-up Yannakakis pass — prepending the example-id column
-    to every edge keeps the bag tree exact per example. Disconnected
-    components are evaluated independently and joined by intersecting
-    their root example-id sets. [decomposition] supplies a
-    precomputed (possibly memoized) decomposition of exactly
-    [List.map pattern_vars patterns]; it is rebuilt here when absent.
-    [fanout] runs the per-partition tasks (default: sequential; the
-    ILP layer passes its [Parallel] pool). *)
-let semijoin_batch ?(fanout = fun n f -> Array.init n f) ?decomposition
-    (backend : Backend.t) ~(patterns : pattern list) ~(eids : int array) =
-  Obs.Span.with_span span_batch @@ fun () ->
-  Obs.Counter.incr c_batches;
-  Obs.Counter.add c_batch_examples (Array.length eids);
-  match patterns with
-  | [] -> Array.make (Array.length eids) true
-  | _ ->
-      let decomp =
-        match decomposition with
-        | Some d -> d
-        | None -> Hypergraph.decompose (List.map pattern_vars patterns)
-      in
-      let module B = (val backend) in
-      let pats = Array.of_list patterns in
-      let n = B.n_partitions () in
-      let by_part = Array.make n [] in
-      Array.iteri
-        (fun k eid ->
-          let s = B.partition_of_value (Value.int eid) in
-          by_part.(s) <- (k, eid) :: by_part.(s))
-        eids;
-      let by_part = Array.map List.rev by_part in
-      let results =
-        fanout n (fun s ->
-            run_partition backend pats decomp s (List.map snd by_part.(s)))
-      in
-      let out = Array.make (Array.length eids) false in
-      Array.iteri
-        (fun s bools ->
-          List.iteri (fun j (k, _) -> out.(k) <- bools.(j)) by_part.(s))
-        results;
-      out
+      Array.map
+        (fun eid ->
+          List.for_all (fun set -> Hashtbl.mem set (Value.int eid)) sets)
+        eids
 
 (** [reorder tbl attrs] permutes the columns of [tbl] to follow
     [attrs] (which must be a permutation of a subset of its columns,

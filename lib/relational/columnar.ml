@@ -1,9 +1,9 @@
 (** Columnar interned relation storage.
 
-    {!Instance} and {!Store} both keep boxed {!Value} tuples in hash
-    sets; every scan and probe re-hashes whole tuples. This substrate
-    is the "do the algebra inside the engine" layout the SQL-for-SRL
-    position paper argues for:
+    {!Instance} keeps boxed {!Value} tuples in hash sets; every scan
+    and probe re-hashes whole tuples. This substrate, the default
+    behind {!Backend}, is the "do the algebra inside the engine"
+    layout the SQL-for-SRL position paper argues for:
 
     - every {!Value} is {e interned} to a dense int id through a
       per-relation dictionary ([intern] / [vals]), so equality anywhere
@@ -38,10 +38,9 @@
     outnumber [max live 16], so under churn a relation occupies at
     most [2 × max live 16] slots. Compaction is not a delta: the
     generation does not move, and the pushdown memo (which holds
-    values, not slots) stays valid. Like the other substrates, every
-    effective mutation is appended to a {!Delta.Log} — the generation
-    is the log length and subscribers see each effective delta
-    batch.
+    values, not slots) stays valid. Like {!Instance}, every effective
+    mutation is appended to a {!Delta.Log} — the generation is the log
+    length and subscribers see each effective delta batch.
 
     Everything is instrumented under [columnar.*]. *)
 
@@ -414,11 +413,6 @@ let apply t ds =
       ds
   in
   Delta.Log.extend t.log effective
-
-(* Aliases matching the delta-maintenance vocabulary of {!Store}. *)
-let add_tuple = add
-
-let remove_tuple = remove
 
 (** [tuples t rel] — full scan, newest slot first (the {!Instance}
     enumeration convention). *)

@@ -126,7 +126,7 @@ let apply t ds =
   in
   Delta.Log.extend t.log effective
 
-(* Aliases matching the delta-maintenance vocabulary of {!Store}. *)
+(* Aliases for the singleton mutators. *)
 let add_tuple = add
 
 let remove_tuple = remove

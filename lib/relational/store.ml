@@ -1,337 +1,13 @@
-(** Sharded tuple store with delta-maintained secondary indexes.
+(** What remains of the retired sharded tuple store: its lookup
+    counter.
 
-    {!Instance} is the single flat store the paper's learners talk to;
-    this is its scale-out sibling. Every relation is hash-partitioned
-    across [n] shards by a chosen key column (column 0 by default),
-    and each shard keeps its own [(column, value)] secondary index.
-    Both structures are maintained {e incrementally} under
-    [add]/[remove] deltas — a mutation touches exactly the buckets of
-    the affected tuple, never a full re-index; {!index_consistent}
-    checks the result against a from-scratch rebuild.
+    The store itself is gone — the flat {!Instance} wrap and the
+    {!Columnar} engine are the only substrates behind {!Backend}, and
+    nothing in the library increments this counter any more. It stays
+    registered under its old name because the per-layer benchmark
+    ([perfbench]) still reads it for its [relational.store.lookups]
+    metric, which reports 0 since no default run touches a store.
+    Delete this module once that metric is repointed at the columnar
+    counters. *)
 
-    The shard-local indexes are what the batched semi-join kernel
-    ({!Algebra.semijoin_batch}) scans, one independent task per shard,
-    fanned out over the ILP [Parallel] pool. Partitioning by key makes
-    every batch query shard-local: a tuple's shard is a pure function
-    of its key value, so a kernel task never reads another shard.
-
-    Everything is instrumented under [store.*]. *)
-
-module Obs = Castor_obs.Obs
-
-let c_builds = Obs.Counter.create "store.builds"
-
-let c_adds = Obs.Counter.create "store.adds"
-
-let c_removes = Obs.Counter.create "store.removes"
-
-let c_index_updates = Obs.Counter.create "store.index_updates"
-
-let c_lookups = Obs.Counter.create "store.lookups"
-
-let c_scans = Obs.Counter.create "store.scans"
-
-type shard = {
-  mutable rows : Tuple.t list;  (** newest first *)
-  mutable count : int;
-  index : (int * Value.t, Tuple.t list ref) Hashtbl.t;
-}
-
-type rel_store = {
-  arity : int;
-  key_pos : int;  (** partitioning column *)
-  shards : shard array;
-}
-
-type t = {
-  n_shards : int;
-  rels : (string, rel_store) Hashtbl.t;
-  log : Delta.Log.t;
-      (** every effective [add]/[remove] delta is appended here; the
-          generation the {!Backend} seam exposes is the log length,
-          and derived structures subscribe instead of diffing shards *)
-}
-
-exception Arity_mismatch of string
-
-let default_shards = 4
-
-(** [create ?shards ?key rels] builds an empty store for relations
-    given as [(name, arity)] pairs; [key name] picks the partitioning
-    column of each relation (default: column 0). *)
-let create ?(shards = default_shards) ?(key = fun _ -> 0) rels =
-  if shards < 1 then invalid_arg "Store.create: shards must be >= 1";
-  Obs.Counter.incr c_builds;
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (name, arity) ->
-      if arity < 1 then invalid_arg "Store.create: arity must be >= 1";
-      let key_pos = key name in
-      if key_pos < 0 || key_pos >= arity then
-        invalid_arg "Store.create: key position outside the sort";
-      let mk _ = { rows = []; count = 0; index = Hashtbl.create 64 } in
-      Hashtbl.replace tbl name { arity; key_pos; shards = Array.init shards mk })
-    rels;
-  { n_shards = shards; rels = tbl; log = Delta.Log.create () }
-
-let n_shards t = t.n_shards
-
-(** Mutation counter, derived from the delta log: increases exactly
-    when an [add] inserts or a [remove] deletes a tuple. Equal
-    generations imply unchanged data. *)
-let generation t = Delta.Log.length t.log
-
-(** [subscribe t f] registers [f] to receive every batch of effective
-    deltas, in application order, after they hit the shards. *)
-let subscribe t f = Delta.Log.subscribe t.log f
-
-let has_relation t rel = Hashtbl.mem t.rels rel
-
-let relation_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.rels [] |> List.sort String.compare
-
-let rel_store t rel =
-  match Hashtbl.find_opt t.rels rel with
-  | Some rs -> rs
-  | None -> raise (Schema.Unknown_relation rel)
-
-let arity t rel = (rel_store t rel).arity
-
-(** Shard owning key value [v] — a pure function of the value, so it
-    is identical across store instances with the same shard count. *)
-let shard_of_value t v = Value.hash v mod t.n_shards
-
-(** [shard_of t rel tuple] is the shard that holds (or would hold)
-    [tuple]. *)
-let shard_of t rel (tuple : Tuple.t) =
-  let rs = rel_store t rel in
-  if Tuple.arity tuple <> rs.arity then raise (Arity_mismatch rel);
-  shard_of_value t tuple.(rs.key_pos)
-
-let index_add sh i v tu =
-  Obs.Counter.incr c_index_updates;
-  let key = (i, v) in
-  match Hashtbl.find_opt sh.index key with
-  | Some l -> l := tu :: !l
-  | None -> Hashtbl.add sh.index key (ref [ tu ])
-
-let index_remove sh i v tu =
-  Obs.Counter.incr c_index_updates;
-  let key = (i, v) in
-  match Hashtbl.find_opt sh.index key with
-  | Some l -> (
-      l := List.filter (fun x -> not (Tuple.equal x tu)) !l;
-      match !l with [] -> Hashtbl.remove sh.index key | _ -> ())
-  | None -> ()
-
-(** [mem t rel tuple] tests presence via the key-column index of the
-    owning shard. *)
-let mem t rel (tuple : Tuple.t) =
-  let rs = rel_store t rel in
-  if Tuple.arity tuple <> rs.arity then raise (Arity_mismatch rel);
-  let kv = tuple.(rs.key_pos) in
-  let sh = rs.shards.(shard_of_value t kv) in
-  Obs.Counter.incr c_lookups;
-  match Hashtbl.find_opt sh.index (rs.key_pos, kv) with
-  | Some l -> List.exists (Tuple.equal tuple) !l
-  | None -> false
-
-(* [insert]/[delete] mutate the shards and report effectiveness
-   without logging, so a batch [apply] can notify subscribers once;
-   [add]/[remove] are the public singleton forms. *)
-
-let insert t rel (tuple : Tuple.t) =
-  if mem t rel tuple then false
-  else begin
-    let rs = rel_store t rel in
-    let sh = rs.shards.(shard_of_value t tuple.(rs.key_pos)) in
-    sh.rows <- tuple :: sh.rows;
-    sh.count <- sh.count + 1;
-    Array.iteri (fun i v -> index_add sh i v tuple) tuple;
-    Obs.Counter.incr c_adds;
-    true
-  end
-
-let delete t rel (tuple : Tuple.t) =
-  if not (mem t rel tuple) then false
-  else begin
-    let rs = rel_store t rel in
-    let sh = rs.shards.(shard_of_value t tuple.(rs.key_pos)) in
-    sh.rows <- List.filter (fun tu -> not (Tuple.equal tu tuple)) sh.rows;
-    sh.count <- sh.count - 1;
-    Array.iteri (fun i v -> index_remove sh i v tuple) tuple;
-    Obs.Counter.incr c_removes;
-    true
-  end
-
-(** [add t rel tuple] inserts a tuple into its shard and extends every
-    secondary-index bucket of that shard (delta maintenance). Returns
-    [false] on duplicates (set semantics); an effective insert is
-    logged as an [Add] delta.
-    @raise Arity_mismatch if the tuple does not fit the sort. *)
-let add t rel (tuple : Tuple.t) =
-  insert t rel tuple
-  && begin
-       Delta.Log.extend t.log [ Delta.Add (rel, tuple) ];
-       true
-     end
-
-(** [remove t rel tuple] deletes a tuple, pruning exactly the index
-    buckets it occupied. Returns [true] when the tuple was present,
-    in which case a [Remove] delta is logged. *)
-let remove t rel (tuple : Tuple.t) =
-  delete t rel tuple
-  && begin
-       Delta.Log.extend t.log [ Delta.Remove (rel, tuple) ];
-       true
-     end
-
-(** [apply t ds] applies a batch of deltas in order; ineffective ones
-    are dropped and subscribers see exactly the effective sub-batch,
-    once. *)
-let apply t ds =
-  let effective =
-    List.filter
-      (function
-        | Delta.Add (rel, tu) -> insert t rel tu
-        | Delta.Remove (rel, tu) -> delete t rel tu)
-      ds
-  in
-  Delta.Log.extend t.log effective
-
-(* Aliases matching the ILP-facing vocabulary. *)
-let add_tuple = add
-
-let remove_tuple = remove
-
-(** [shard_tuples t s rel] — the rows of [rel] living on shard [s]. *)
-let shard_tuples t s rel =
-  let rs = rel_store t rel in
-  Obs.Counter.incr c_scans;
-  rs.shards.(s).rows
-
-(** [tuples t rel] concatenates the shards in shard order. *)
-let tuples t rel =
-  let rs = rel_store t rel in
-  Obs.Counter.incr c_scans;
-  Array.fold_left (fun acc sh -> acc @ List.rev sh.rows) [] rs.shards
-
-let cardinality t rel =
-  Array.fold_left (fun acc sh -> acc + sh.count) 0 (rel_store t rel).shards
-
-let size t =
-  Hashtbl.fold
-    (fun _ rs acc ->
-      acc + Array.fold_left (fun a sh -> a + sh.count) 0 rs.shards)
-    t.rels 0
-
-(** [find_in_shard t s rel pos v] — indexed lookup inside one shard. *)
-let find_in_shard t s rel pos v =
-  let rs = rel_store t rel in
-  Obs.Counter.incr c_lookups;
-  match Hashtbl.find_opt rs.shards.(s).index (pos, v) with
-  | Some l -> !l
-  | None -> []
-
-(** [find t rel pos v] — indexed lookup across the store. A query on
-    the partitioning column touches exactly one shard; other columns
-    consult every shard's local index. *)
-let find t rel pos v =
-  let rs = rel_store t rel in
-  if pos = rs.key_pos then find_in_shard t (shard_of_value t v) rel pos v
-  else
-    List.concat
-      (List.init t.n_shards (fun s -> find_in_shard t s rel pos v))
-
-(** [tuples_containing t rel v] — all tuples of [rel] mentioning [v]
-    at any position, deduplicated ({!Instance.tuples_containing}'s
-    contract, served by the sharded indexes). *)
-let tuples_containing t rel v =
-  let ar = arity t rel in
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  for pos = 0 to ar - 1 do
-    List.iter
-      (fun tu ->
-        let h = Tuple.hash tu in
-        let dup =
-          match Hashtbl.find_opt seen h with
-          | Some l -> List.exists (Tuple.equal tu) l
-          | None -> false
-        in
-        if not dup then begin
-          Hashtbl.replace seen h
-            (tu :: Option.value ~default:[] (Hashtbl.find_opt seen h));
-          out := tu :: !out
-        end)
-      (find t rel pos v)
-  done;
-  !out
-
-(** [of_instance ?shards ?key inst] loads a whole {!Instance}. *)
-let of_instance ?shards ?key inst =
-  let schema = Instance.schema inst in
-  let rels =
-    List.map
-      (fun (r : Schema.relation) ->
-        (r.Schema.rname, List.length r.Schema.attrs))
-      schema.Schema.relations
-  in
-  let t = create ?shards ?key rels in
-  List.iter
-    (fun (rel, _) ->
-      List.iter (fun tu -> ignore (add t rel tu)) (Instance.tuples inst rel))
-    rels;
-  t
-
-(** [index_consistent t] checks the delta-maintained state against a
-    from-scratch rebuild: every row lives on the shard its key hashes
-    to, the cached counts match, and each shard's secondary index
-    holds exactly the buckets a fresh indexing of its rows would
-    produce. *)
-let index_consistent t =
-  let norm l = List.sort Tuple.compare l in
-  Hashtbl.fold
-    (fun _rel rs acc ->
-      acc
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun s sh ->
-                List.length sh.rows = sh.count
-                && List.for_all
-                     (fun tu -> shard_of_value t tu.(rs.key_pos) = s)
-                     sh.rows
-                &&
-                let expected = Hashtbl.create 64 in
-                List.iter
-                  (fun tu ->
-                    Array.iteri
-                      (fun i v ->
-                        let key = (i, v) in
-                        Hashtbl.replace expected key
-                          (tu
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt expected key)))
-                      tu)
-                  sh.rows;
-                Hashtbl.length expected = Hashtbl.length sh.index
-                && Hashtbl.fold
-                     (fun key l ok ->
-                       ok
-                       &&
-                       match Hashtbl.find_opt sh.index key with
-                       | Some actual ->
-                           List.equal Tuple.equal (norm !actual) (norm l)
-                       | None -> false)
-                     expected true)
-              rs.shards))
-    t.rels true
-
-let pp ppf t =
-  List.iter
-    (fun rel ->
-      Fmt.pf ppf "@[<v2>%s (%d tuples, %d shards):@,%a@]@." rel
-        (cardinality t rel) t.n_shards
-        Fmt.(list ~sep:cut Tuple.pp)
-        (tuples t rel))
-    (relation_names t)
+let c_lookups = Castor_obs.Obs.Counter.create "store.lookups"

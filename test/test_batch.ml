@@ -1,10 +1,10 @@
 (* Differential battery for the planner-dispatched coverage kernel:
-   whatever the backend (flat instance or sharded store, any shard
-   count), Coverage.vector with the kernel enabled must agree
-   bit-for-bit with the per-example Subsume path, on both a real
-   dataset (family) and seeded random problems. Also checks the GYO
-   join-forest builder, the semi-join kernel's edge cases, and that
-   source-instance mutation invalidates the coverage memo. *)
+   whatever the backend (flat instance or columnar engine),
+   Coverage.vector with the kernel enabled must agree bit-for-bit with
+   the per-example Subsume path, on both a real dataset (family) and
+   seeded random problems. Also checks the GYO join forest, the
+   semi-join kernel's edge cases, and that source-instance mutation
+   invalidates the coverage memo. *)
 
 open Castor_relational
 open Castor_logic
@@ -18,17 +18,9 @@ let family_inst = family.Castor_datasets.Dataset.instance
 
 let family_ex = family.Castor_datasets.Dataset.examples
 
-(* every substrate the acceptance battery pins: the flat instance, the
-   sharded store at 1/2/4/7 shards, and the interned columnar engine *)
-let specs =
-  [
-    Backend.Flat;
-    Backend.Sharded 1;
-    Backend.Sharded 2;
-    Backend.Sharded 4;
-    Backend.Sharded 7;
-    Backend.Columnar;
-  ]
+(* every substrate the acceptance battery pins: the flat instance and
+   the interned columnar engine *)
+let specs = [ Backend.Flat; Backend.Columnar ]
 
 (* body prefixes of each example's variabilized bottom clause — the
    shapes ARMG actually walks through *)
@@ -87,7 +79,7 @@ let family_suite =
             in
             differential_on pos cands;
             differential_on neg cands)
-          [ Backend.Flat; Backend.Sharded 4; Backend.Columnar ];
+          specs;
         check Alcotest.bool "kernel actually ran" true
           (Obs.Counter.value Algebra.c_batches > before));
     tc "family: the backend is invisible in coverage vectors" (fun () ->
@@ -101,7 +93,7 @@ let family_suite =
           Coverage.set_cache cov false;
           List.map (fun c -> Array.to_list (Coverage.vector cov c)) cands
         in
-        let v1 = vectors (Backend.Sharded 1) in
+        let v1 = vectors Backend.Flat in
         List.iter
           (fun backend ->
             check
@@ -167,7 +159,7 @@ let random_suite =
           Coverage.set_cache cov false;
           List.map (fun c -> Array.to_list (Coverage.vector cov c)) cands
         in
-        let v1 = vectors (Backend.Sharded 1) in
+        let v1 = vectors Backend.Flat in
         List.for_all (fun s -> vectors s = v1) specs);
   ]
 
@@ -566,12 +558,12 @@ let mutation_suite =
         let examples = [| Atom.of_tuple "t" (Tuple.of_list [ c 1 ]) |] in
         let cov =
           Coverage.build ~params:Bottom.default_params
-            ~backend:(Backend.Sharded 2) inst examples
+            ~backend:Backend.Flat inst examples
         in
         check Alcotest.bool "uncovered before" false
           (Coverage.covers cov p_clause 0);
         Instance.add inst "p" (Tuple.of_list [ c 1; c 2 ]);
-        check Alcotest.bool "covered after the shard-backed refresh" true
+        check Alcotest.bool "covered after the flat-backed refresh" true
           (Coverage.covers cov p_clause 0));
   ]
 

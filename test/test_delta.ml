@@ -14,7 +14,7 @@ open Helpers
 module Obs = Castor_obs.Obs
 module Examples = Castor_ilp.Examples
 
-let specs = [ Backend.Flat; Backend.Sharded 3; Backend.Columnar ]
+let specs = [ Backend.Flat; Backend.Columnar ]
 
 let itu a b = Tuple.of_list [ Value.int a; Value.int b ]
 
@@ -62,22 +62,7 @@ let substrate_case spec =
         (B.mem "p" (itu 5 6) && B.mem "p" (itu 7 8)
         && not (B.mem "p" (itu 1 2))))
 
-let capabilities_suite =
-  [
-    tc "capabilities describe each substrate honestly" (fun () ->
-        let caps spec = Backend.capabilities (Backend.create spec [ ("p", 2) ]) in
-        let open Backend in
-        check Alcotest.bool "flat: subscription only" true
-          (caps Flat = { pushdown = false; partitioned = false; subscription = true });
-        check Alcotest.bool "sharded: partitioned + subscription" true
-          (caps (Sharded 4)
-          = { pushdown = false; partitioned = true; subscription = true });
-        check Alcotest.bool "columnar: pushdown + subscription" true
-          (caps Columnar
-          = { pushdown = true; partitioned = false; subscription = true }));
-  ]
-
-let substrate_suite = List.map substrate_case specs @ capabilities_suite
+let substrate_suite = List.map substrate_case specs
 
 (* ---------------- incrementally maintained Datalog views ------------ *)
 

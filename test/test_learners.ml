@@ -235,9 +235,7 @@ let registry_suite =
         in
         let base = on None in
         check Alcotest.(list string) "flat instance" base
-          (on (Some Castor_relational.Backend.Flat));
-        check Alcotest.(list string) "store:2" base
-          (on (Some (Castor_relational.Backend.Sharded 2))));
+          (on (Some Castor_relational.Backend.Flat)));
     tc "Castor learns the same UW-CSE clauses on every backend" (fun () ->
         let module Experiment = Castor_eval.Experiment in
         let ds = Castor_datasets.Uwcse.generate () in
@@ -251,9 +249,7 @@ let registry_suite =
             let base = learn None in
             check Alcotest.bool (vname ^ ": learned something") true (base <> []);
             check Alcotest.(list string) (vname ^ ": flat") base
-              (learn (Some Backend.Flat));
-            check Alcotest.(list string) (vname ^ ": store:4") base
-              (learn (Some (Backend.Sharded 4))))
+              (learn (Some Backend.Flat)))
           ds.Castor_datasets.Dataset.variants);
   ]
 

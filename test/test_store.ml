@@ -1,6 +1,5 @@
-(* Sharded store and delta-maintained secondary indexes: random
-   add/remove interleavings must leave both the flat Instance index and
-   the sharded Store indexes identical to a from-scratch rebuild, and
+(* Delta-maintained secondary indexes: random add/remove interleavings
+   must leave the flat Instance index identical to a full rebuild, and
    every access path must agree with a naive scan. The columnar engine
    gets the same treatment, plus a long churn that forces tombstone
    compaction. *)
@@ -71,82 +70,6 @@ let instance_suite =
         && List.equal Tuple.equal (sorted (Instance.tuples inst "r")) (sorted model));
   ]
 
-let shards_gen = QCheck2.Gen.int_range 1 5
-
-let store_suite =
-  [
-    qt ~count:200 "Store interleaving: indexes == rebuild, every path agrees"
-      QCheck2.Gen.(pair shards_gen ops_gen)
-      (fun (shards, ops) ->
-        let st = Store.create ~shards [ ("r", 3) ] in
-        List.iter
-          (fun (add, tu) ->
-            if add then ignore (Store.add_tuple st "r" tu)
-            else ignore (Store.remove_tuple st "r" tu))
-          ops;
-        let model = Tuple.Set.elements (replay_model ops) in
-        Store.index_consistent st
-        && List.equal Tuple.equal (sorted (Store.tuples st "r")) (sorted model)
-        && (* indexed find == scan filter, on key and non-key columns *)
-        List.for_all
-          (fun pos ->
-            List.for_all
-              (fun i ->
-                List.equal Tuple.equal
-                  (sorted (Store.find st "r" pos (v i)))
-                  (sorted
-                     (List.filter (fun tu -> Value.equal tu.(pos) (v i)) model)))
-              [ 0; 1; 2; 3; 4; 5 ])
-          [ 0; 1; 2 ]
-        && List.for_all
-             (fun i ->
-               List.equal Tuple.equal
-                 (sorted (Store.tuples_containing st "r" (v i)))
-                 (sorted
-                    (List.filter
-                       (fun tu -> Array.exists (fun x -> Value.equal x (v i)) tu)
-                       model)))
-             [ 0; 1; 2; 3; 4; 5 ]);
-    qt ~count:100 "shard count never changes Store.of_instance contents"
-      QCheck2.Gen.(pair abc_instance_gen shards_gen)
-      (fun (inst, shards) ->
-        let st1 = Store.of_instance ~shards:1 inst in
-        let stn = Store.of_instance ~shards inst in
-        List.equal Tuple.equal
-          (sorted (Store.tuples st1 "r"))
-          (sorted (Store.tuples stn "r"))
-        && Store.index_consistent stn
-        && List.for_all
-             (fun i ->
-               List.equal Tuple.equal
-                 (sorted (Store.find st1 "r" 0 (v i)))
-                 (sorted (Store.find stn "r" 0 (v i))))
-             [ 0; 1; 2; 3; 4 ]);
-    tc "rows live on the shard their key hashes to" (fun () ->
-        let st = Store.create ~shards:4 [ ("r", 3) ] in
-        for i = 0 to 19 do
-          ignore (Store.add st "r" (Tuple.of_list [ v i; v (i mod 3); v 0 ]))
-        done;
-        for s = 0 to Store.n_shards st - 1 do
-          List.iter
-            (fun (tu : Tuple.t) ->
-              check Alcotest.int
-                (Fmt.str "shard of %a" Tuple.pp tu)
-                s
-                (Store.shard_of_value st tu.(0)))
-            (Store.shard_tuples st s "r")
-        done);
-    tc "Store.add is set-semantics and Store.remove returns presence" (fun () ->
-        let st = Store.create ~shards:2 [ ("r", 3) ] in
-        let tu = Tuple.of_list [ v 0; v 1; v 2 ] in
-        check Alcotest.bool "first add" true (Store.add st "r" tu);
-        check Alcotest.bool "dup add" false (Store.add st "r" tu);
-        check Alcotest.int "one row" 1 (Store.cardinality st "r");
-        check Alcotest.bool "remove" true (Store.remove st "r" tu);
-        check Alcotest.bool "re-remove" false (Store.remove st "r" tu);
-        check Alcotest.bool "consistent" true (Store.index_consistent st));
-  ]
-
 (* -------- Backend.spec: the string form carried by CLI flags ------- *)
 
 let spec_suite =
@@ -157,11 +80,8 @@ let spec_suite =
         in
         parses "instance" Backend.Flat;
         parses "flat" Backend.Flat;
-        parses "store" (Backend.Sharded Store.default_shards);
-        parses "store:1" (Backend.Sharded 1);
-        parses "store:4" (Backend.Sharded 4);
         (* whitespace and case are forgiven: these arrive from shells *)
-        parses "  Store:2 " (Backend.Sharded 2);
+        parses "  Instance " Backend.Flat;
         parses "FLAT" Backend.Flat;
         parses "columnar" Backend.Columnar;
         parses "column" Backend.Columnar;
@@ -172,20 +92,22 @@ let spec_suite =
             let s = Backend.spec_to_string spec in
             check Alcotest.bool (s ^ " round-trips") true
               (Backend.spec_of_string s = spec))
-          [ Backend.Flat; Backend.Sharded 1; Backend.Sharded 4;
-            Backend.Sharded 64; Backend.Columnar; Backend.default_spec ]);
+          [ Backend.Flat; Backend.Columnar; Backend.default_spec ]);
     tc "Backend.spec_of_string rejects malformed specs" (fun () ->
         List.iter
           (fun s ->
             match Backend.spec_of_string s with
             | exception Invalid_argument _ -> ()
             | _ -> Alcotest.fail (Printf.sprintf "%S should be rejected" s))
-          [ "store:0"; "store:-3"; "store:x"; "store:"; "shard:2"; "postgres"; "" ]);
+          [
+            "store"; "store:4"; "store:0"; "store:-3"; "store:x"; "store:";
+            "shard:2"; "postgres"; "";
+          ]);
   ]
 
 (* -------- Columnar backend: planner statistics and interning ------- *)
 
-let all_specs = [ Backend.Flat; Backend.Sharded 3; Backend.Columnar ]
+let all_specs = [ Backend.Flat; Backend.Columnar ]
 
 let apply_ops (backend : Backend.t) ops =
   let module B = (val backend) in
@@ -337,4 +259,4 @@ let columnar_suite =
         && Obs.Counter.value Columnar.c_compactions > compactions0);
   ]
 
-let suite = instance_suite @ store_suite @ spec_suite @ columnar_suite
+let suite = instance_suite @ spec_suite @ columnar_suite
