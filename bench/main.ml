@@ -5,7 +5,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe table9     -- one experiment
      (ids: table9 table10 table11 table12 table13 fig2 fig3 ex11
-           ablation coverage_batch planner cyclic incremental
+           ablation coverage_batch cyclic incremental
            sensitivity fuzz micro)
 
    Scale note: the datasets are synthetic, laptop-sized equivalents of
@@ -402,88 +402,6 @@ let coverage_batch () =
     (float_of_int n /. t_off);
   Fmt.pr "  speedup %.2fx; kernel batches %d@." (t_off /. t_on)
     (Obs.Counter.value Algebra.c_batches);
-  (* storage sweep: same vectors on the flat and columnar layouts; the
-     per-backend scan work is exported under its own counter so the CI
-     gate can require columnar strictly below flat in one dump *)
-  let sweep spec =
-    Castor_ilp.Coverage.set_backend pos spec;
-    Castor_ilp.Coverage.set_backend neg spec;
-    let rows0 = Obs.Counter.value Algebra.c_rows_scanned in
-    let vs, t = with_batch true in
-    let rows = Obs.Counter.value Algebra.c_rows_scanned - rows0 in
-    if not (List.for_all2 (fun (a, b) (c, d) -> a = c && b = d) vs off) then
-      failwith
-        ("coverage_batch: backend " ^ Backend.spec_to_string spec
-       ^ " disagrees with Subsume");
-    Obs.Counter.add
-      (Obs.Counter.create
-         ("bench.coverage_batch.rows_scanned." ^ Backend.spec_to_string spec))
-      rows;
-    Fmt.pr "  backend %-10s %8.3f s  %9d rows scanned@."
-      (Backend.spec_to_string spec) t rows
-  in
-  List.iter sweep [ Backend.Flat; Backend.Columnar ]
-
-(* ------------------------------------------------------------------ *)
-(* Cost-based coverage planner                                         *)
-(* ------------------------------------------------------------------ *)
-
-let planner () =
-  section
-    "Planner -- cost-based coverage strategy selection across storage backends";
-  let ds = Uwcse.generate () in
-  let prep = Experiment.prepare ds "original" in
-  let pos = prep.Experiment.all_pos and neg = prep.Experiment.all_neg in
-  Castor_ilp.Coverage.set_cache pos false;
-  Castor_ilp.Coverage.set_cache neg false;
-  let clauses = prefixes pos ~n:12 ~lengths:[ 1; 2; 3; 4; 6 ] in
-  let run_all () =
-    List.map
-      (fun c ->
-        ( Castor_ilp.Coverage.vector pos c,
-          Castor_ilp.Coverage.vector neg c ))
-      clauses
-  in
-  let timed_vectors () =
-    let t0 = Unix.gettimeofday () in
-    let vs = run_all () in
-    (vs, Unix.gettimeofday () -. t0)
-  in
-  (* reference vectors: planner disabled, pure per-example subsumption *)
-  Castor_ilp.Coverage.set_batch pos false;
-  Castor_ilp.Coverage.set_batch neg false;
-  let _ = timed_vectors () (* warmup *) in
-  let reference, t_subs = timed_vectors () in
-  Castor_ilp.Coverage.set_batch pos true;
-  Castor_ilp.Coverage.set_batch neg true;
-  let specs = [ Backend.Flat; Backend.Columnar ] in
-  Fmt.pr "%d candidate clauses, planner on, per backend (UW-CSE original):@."
-    (List.length clauses);
-  let t_last = ref t_subs in
-  (* per-backend kernel scan work, exported as its own counter so the
-     CI gate can require columnar strictly below flat in one dump *)
-  let scan_counter spec =
-    Obs.Counter.create
-      ("bench.planner.rows_scanned." ^ Backend.spec_to_string spec)
-  in
-  List.iter
-    (fun spec ->
-      Castor_ilp.Coverage.set_backend pos spec;
-      Castor_ilp.Coverage.set_backend neg spec;
-      let rows0 = Obs.Counter.value Algebra.c_rows_scanned in
-      let vs, t = timed_vectors () in
-      let rows = Obs.Counter.value Algebra.c_rows_scanned - rows0 in
-      Obs.Counter.add (scan_counter spec) rows;
-      if vs <> reference then
-        failwith
-          ("planner: coverage vectors diverge from subsumption on backend "
-          ^ Backend.spec_to_string spec);
-      if spec = Castor_ilp.Coverage.backend_spec pos then t_last := t;
-      Fmt.pr
-        "  backend %-10s %8.3f s  %9d rows scanned  (matches subsumption bit-for-bit)@."
-        (Backend.spec_to_string spec) t rows)
-    specs;
-  Fmt.pr "  pure subsumption     %8.3f s@." t_subs;
   Fmt.pr
     "planner decisions %d: semi-join %d, subsumption %d (est cost %d, actual %d)@."
     (Obs.Counter.value Castor_ilp.Planner.c_decisions)
@@ -541,56 +459,37 @@ let cyclic () =
   in
   if planner_vs <> reference then
     failwith "cyclic: planner path diverges from subsumption";
-  (* direct kernel invocation per backend: the decomposed kernel itself
-     (not the planner's choice) must answer every cyclic body
-     bit-for-bit like subsumption, with its work measured as scanned
-     rows plus leapfrog seeks *)
+  (* direct kernel invocation: the decomposed kernel itself (not the
+     planner's choice) must answer every cyclic body bit-for-bit like
+     subsumption, with its work measured as scanned rows plus leapfrog
+     seeks. The CI gate requires that work to undercut subsumption's. *)
   let patterns_of c =
     List.map Castor_ilp.Planner.pattern_of_atom
       (c.Clause.head :: c.Clause.body)
   in
   let eids = Array.init (Castor_ilp.Coverage.length pos) Fun.id in
-  let specs = [ Backend.Flat; Backend.Columnar ] in
-  let kernel_work spec =
-    Castor_ilp.Coverage.set_backend pos spec;
-    let store = Option.get (Castor_ilp.Coverage.store pos) in
-    let work () =
-      Obs.Counter.value Algebra.c_rows_scanned
-      + Obs.Counter.value Algebra.c_leapfrog_seeks
-    in
-    let work0 = work () in
-    let t0 = Unix.gettimeofday () in
-    List.iteri
-      (fun i c ->
-        let direct =
-          Algebra.semijoin_batch store ~patterns:(patterns_of c) ~eids
-        in
-        if Array.to_list direct <> List.nth reference i then
-          failwith
-            ("cyclic: kernel diverges from subsumption on backend "
-            ^ Backend.spec_to_string spec))
-      clauses;
-    let t = Unix.gettimeofday () -. t0 in
-    let w = work () - work0 in
-    Obs.Counter.add
-      (Obs.Counter.create
-         ("bench.cyclic.rows_scanned." ^ Backend.spec_to_string spec))
-      w;
-    Fmt.pr
-      "  backend %-10s %8.3f s  %9d rows+seeks  (matches subsumption \
-       bit-for-bit)@."
-      (Backend.spec_to_string spec) t w;
-    w
+  let store = Option.get (Castor_ilp.Coverage.store pos) in
+  let work () =
+    Obs.Counter.value Algebra.c_rows_scanned
+    + Obs.Counter.value Algebra.c_leapfrog_seeks
   in
-  let works = List.map kernel_work specs in
-  (* the headline kernel-work number is the best backend (columnar,
-     where select/project pushdown applies): the flat layout pays extra
-     scanned rows to the storage seam, not to the kernel itself. The
-     CI gate requires this to undercut the subsumption work. *)
-  let best = List.fold_left min max_int works in
-  Obs.Counter.add (Obs.Counter.create "bench.cyclic.kernel_rows") best;
-  Fmt.pr "  kernel best backend  %9d rows+seeks vs %d subsumption steps+scans@."
-    best subs_steps
+  let work0 = work () in
+  let t0 = Unix.gettimeofday () in
+  List.iteri
+    (fun i c ->
+      let direct =
+        Algebra.semijoin_batch store ~patterns:(patterns_of c) ~eids
+      in
+      if Array.to_list direct <> List.nth reference i then
+        failwith "cyclic: kernel diverges from subsumption")
+    clauses;
+  let t = Unix.gettimeofday () -. t0 in
+  let w = work () - work0 in
+  Obs.Counter.add (Obs.Counter.create "bench.cyclic.kernel_rows") w;
+  Fmt.pr
+    "  direct kernel        %8.3f s  %9d rows+seeks  (matches subsumption \
+     bit-for-bit)@."
+    t w
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: online coverage under a tuple stream                   *)
@@ -600,62 +499,52 @@ let incremental () =
   section
     "Incremental -- delta-driven online coverage vs from-scratch rebuild \
      (UW-CSE tuple-stream replay)";
-  let replay spec =
-    (* fresh dataset per backend so every sweep replays the same stream
-       from the same start state *)
-    let ds = Uwcse.generate () in
-    let prep = Experiment.prepare ~backend:spec ds "original" in
-    let v = prep.Experiment.pvariant in
-    let inst = v.Dataset.vinstance in
-    let pos = prep.Experiment.all_pos in
-    let clauses = prefixes pos ~n:8 ~lengths:[ 1; 2; 4 ] in
-    let run_all cov =
-      List.map (fun c -> Castor_ilp.Coverage.vector cov c) clauses
-    in
-    let _ = run_all pos (* warm the memo: the replay exercises patching *) in
-    (* the tuple stream: interleaved single-tuple adds/removes over the
-       non-target relations, replayed one generation at a time with
-       coverage queries in between — the online-learning shape *)
-    let stream =
-      Castor_ilp.Examples.mutation_stream ~seed:17 ~length:32 inst
-        ds.Dataset.examples
-    in
-    let b = Backend.of_instance inst in
-    let gen0 = Backend.generation b in
-    let t0 = Unix.gettimeofday () in
-    List.iteri
-      (fun i d ->
-        Backend.apply b [ d ];
-        if i mod 4 = 3 then ignore (run_all pos))
-      stream;
-    let final = run_all pos in
-    let t_inc = Unix.gettimeofday () -. t0 in
-    let effective = Backend.generation b - gen0 in
-    (* the correctness pin and the cost the delta path avoids: rebuild
-       the whole structure on the mutated instance, then compare *)
-    let t1 = Unix.gettimeofday () in
-    let plan = Castor_core.Plan.build ~mode:`Equality_only v.Dataset.vschema in
-    let fresh =
-      Castor_ilp.Coverage.build
-        ~expand:(fun rel tu -> Castor_core.Plan.expand plan inst rel tu)
-        ~backend:spec ~params:prep.Experiment.bottom_params inst
-        ds.Dataset.examples.Castor_ilp.Examples.pos
-    in
-    let t_rebuild = Unix.gettimeofday () -. t1 in
-    if final <> run_all fresh then
-      failwith
-        ("incremental: patched coverage diverges from rebuild on backend "
-        ^ Backend.spec_to_string spec);
-    Obs.Counter.add
-      (Obs.Counter.create
-         ("bench.incremental.deltas." ^ Backend.spec_to_string spec))
-      effective;
-    Fmt.pr
-      "  backend %-10s %3d deltas absorbed: replay %8.3f s, one rebuild \
-       %8.3f s  (matches rebuild bit-for-bit)@."
-      (Backend.spec_to_string spec) effective t_inc t_rebuild
+  let ds = Uwcse.generate () in
+  let prep = Experiment.prepare ds "original" in
+  let v = prep.Experiment.pvariant in
+  let inst = v.Dataset.vinstance in
+  let pos = prep.Experiment.all_pos in
+  let clauses = prefixes pos ~n:8 ~lengths:[ 1; 2; 4 ] in
+  let run_all cov =
+    List.map (fun c -> Castor_ilp.Coverage.vector cov c) clauses
   in
-  List.iter replay [ Backend.Flat; Backend.Columnar ];
+  let _ = run_all pos (* warm the memo: the replay exercises patching *) in
+  (* the tuple stream: interleaved single-tuple adds/removes over the
+     non-target relations, replayed one generation at a time with
+     coverage queries in between — the online-learning shape *)
+  let stream =
+    Castor_ilp.Examples.mutation_stream ~seed:17 ~length:32 inst
+      ds.Dataset.examples
+  in
+  let b = Backend.of_instance inst in
+  let gen0 = Backend.generation b in
+  let t0 = Unix.gettimeofday () in
+  List.iteri
+    (fun i d ->
+      Backend.apply b [ d ];
+      if i mod 4 = 3 then ignore (run_all pos))
+    stream;
+  let final = run_all pos in
+  let t_inc = Unix.gettimeofday () -. t0 in
+  let effective = Backend.generation b - gen0 in
+  (* the correctness pin and the cost the delta path avoids: rebuild
+     the whole structure on the mutated instance, then compare *)
+  let t1 = Unix.gettimeofday () in
+  let plan = Castor_core.Plan.build ~mode:`Equality_only v.Dataset.vschema in
+  let fresh =
+    Castor_ilp.Coverage.build
+      ~expand:(fun rel tu -> Castor_core.Plan.expand plan inst rel tu)
+      ~params:prep.Experiment.bottom_params inst
+      ds.Dataset.examples.Castor_ilp.Examples.pos
+  in
+  let t_rebuild = Unix.gettimeofday () -. t1 in
+  if final <> run_all fresh then
+    failwith "incremental: patched coverage diverges from rebuild";
+  Obs.Counter.add (Obs.Counter.create "bench.incremental.deltas") effective;
+  Fmt.pr
+    "  %3d deltas absorbed: replay %8.3f s, one rebuild %8.3f s  (matches \
+     rebuild bit-for-bit)@."
+    effective t_inc t_rebuild;
   Fmt.pr
     "full refreshes %d (the online-update promise is zero), deltas applied \
      %d, examples re-saturated %d, cached vectors patched %d@."
@@ -732,11 +621,9 @@ let fuzz () =
     List.iter
       (fun (v : Sweep.verdict) ->
         if v.Sweep.v_equivalent then
-          Fmt.pr "  %-12s %-10s schema independent@." v.Sweep.v_learner
-            v.Sweep.v_backend
+          Fmt.pr "  %-12s schema independent@." v.Sweep.v_learner
         else
-          Fmt.pr "  %-12s %-10s DIVERGES on %s@." v.Sweep.v_learner
-            v.Sweep.v_backend
+          Fmt.pr "  %-12s DIVERGES on %s@." v.Sweep.v_learner
             (String.concat ", " v.Sweep.v_diverging))
       report.Fuzz.rp_verdicts;
     List.iter
@@ -881,7 +768,6 @@ let all =
     ("ex11", ex11);
     ("ablation", ablation);
     ("coverage_batch", coverage_batch);
-    ("planner", planner);
     ("cyclic", cyclic);
     ("incremental", incremental);
     ("sensitivity", sensitivity);

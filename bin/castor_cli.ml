@@ -12,28 +12,24 @@ module Clause = Castor_logic.Clause
 open Castor_datasets
 open Castor_eval
 
-let dataset_of_name = function
-  | "uwcse" -> Uwcse.generate ()
-  | "hiv" -> Hiv.generate ()
-  | "hiv-large" -> Hiv.generate ~config:Hiv.large_config ()
-  | "imdb" -> Imdb.generate ()
-  | "family" -> Family.generate ()
-  | s -> failwith ("unknown dataset " ^ s ^ " (try uwcse|hiv|hiv-large|imdb|family)")
+let datasets =
+  [
+    ("uwcse", fun () -> Uwcse.generate ());
+    ("hiv", fun () -> Hiv.generate ());
+    ("hiv-large", fun () -> Hiv.generate ~config:Hiv.large_config ());
+    ("imdb", fun () -> Imdb.generate ());
+    ("family", fun () -> Family.generate ());
+  ]
+
+(* names reach here only through [dataset_arg], which rejects unknown
+   ones as a usage error *)
+let dataset_of_name name = (List.assoc name datasets) ()
 
 module Learner = Castor_learners.Learner
 
-(* every subcommand resolves learners through the one registry path *)
-let algo_of_name ?gate ?domains ?backend name =
-  try Algos.of_name ?gate ?domains ?backend name
-  with Learner.Unknown_learner s ->
-    failwith
-      ("unknown algorithm " ^ s ^ " (try "
-      ^ String.concat "|" (Learner.names ())
-      ^ ")")
-
 (* ------------------- shared flag surface ------------------------ *)
 (* One parser per flag, shared by every subcommand that accepts it,
-   so `--backend`, `--json`, `-o` and `--seed` spell and behave the
+   so `-d`, `-a`, `--json`, `-o` and `--seed` spell and behave the
    same everywhere. Subcommands that are deterministic still accept
    `--seed` (and ignore it) so sweep scripts can pass a uniform
    argument vector. *)
@@ -57,30 +53,20 @@ let seed_arg =
            generation, sampling). Deterministic subcommands accept and \
            ignore it, so scripted sweeps can pass one uniform flag set.")
 
-(* an unknown or retired spec is a usage error (exit 124), not an
-   uncaught exception *)
-let backend_conv =
+(* an unknown learner name is a usage error (exit 124) listing the
+   registered ones, not an uncaught exception *)
+let algo_conv =
   let parse s =
-    try Ok (Backend.spec_of_string s) with Invalid_argument m -> Error (`Msg m)
+    match Learner.find_opt s with
+    | Some _ -> Ok s
+    | None ->
+        Error
+          (`Msg
+            ("unknown algorithm " ^ s ^ " (try "
+            ^ String.concat "|" (Learner.names ())
+            ^ ")"))
   in
-  Arg.conv (parse, fun ppf b -> Fmt.string ppf (Backend.spec_to_string b))
-
-let backends_arg =
-  Arg.(
-    value & opt_all backend_conv []
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Storage backend: $(b,instance) (flat, zero-copy) or \
-           $(b,columnar) (interned column store). Repeatable on sweeping \
-           subcommands; single-backend subcommands reject repeats. \
-           Default: the columnar store.")
-
-(* single-backend subcommands go through this validator so a repeated
-   --backend fails loudly instead of silently dropping one *)
-let one_backend cmd = function
-  | [] -> None
-  | [ b ] -> Some b
-  | _ -> failwith (cmd ^ ": pass --backend at most once")
+  Arg.conv (parse, Fmt.string)
 
 let write_out out doc =
   Option.iter
@@ -94,7 +80,14 @@ let write_out out doc =
 (* ---------------------------- learn ----------------------------- *)
 
 let dataset_arg =
-  Arg.(value & opt string "uwcse" & info [ "d"; "dataset" ] ~doc:"Dataset name.")
+  Arg.(
+    value
+    & opt (enum (List.map (fun (name, _) -> (name, name)) datasets)) "uwcse"
+    & info [ "d"; "dataset" ]
+        ~doc:
+          ("Dataset name: "
+          ^ Arg.doc_alts (List.map fst datasets)
+          ^ "."))
 
 let variant_arg =
   Arg.(
@@ -103,7 +96,7 @@ let variant_arg =
     & info [ "s"; "schema" ] ~doc:"Schema variant (default: the base schema).")
 
 let algo_arg =
-  Arg.(value & opt string "castor" & info [ "a"; "algo" ] ~doc:"Learning algorithm.")
+  Arg.(value & opt algo_conv "castor" & info [ "a"; "algo" ] ~doc:"Learning algorithm.")
 
 let folds_arg =
   Arg.(
@@ -118,12 +111,11 @@ let learn_json ~algo ~dataset ~variant ~folds ~time_s (m : Metrics.t)
     algo dataset variant folds m.Metrics.precision m.Metrics.recall time_s
     (List.length def.Clause.clauses)
 
-let learn dataset variant algo folds backends json out seed =
-  let backend = one_backend "learn" backends in
+let learn dataset variant algo folds json out seed =
   let ds = dataset_of_name dataset in
   let vname = Option.value ~default:(fst (List.hd ds.Dataset.variants)) variant in
-  let a = algo_of_name ?backend algo in
-  let prep = Experiment.prepare ?backend ds vname in
+  let a = Algos.of_name algo in
+  let prep = Experiment.prepare ds vname in
   let m, def, time_s =
     if folds > 0 then begin
       let row = Experiment.crossval ~seed ~folds prep a in
@@ -165,7 +157,7 @@ let learn_cmd =
     (Cmd.info "learn" ~doc:"Learn a target relation definition over a schema variant.")
     Term.(
       const learn $ dataset_arg $ variant_arg $ algo_arg $ folds_arg
-      $ backends_arg $ json_arg $ out_arg $ seed_arg)
+      $ json_arg $ out_arg $ seed_arg)
 
 (* --------------------------- schemas ---------------------------- *)
 
@@ -274,7 +266,7 @@ let import dir algo gate =
   let ds =
     Dataset.import ~name:(Filename.basename dir) ~gate:(gate_of_string gate) dir
   in
-  let a = algo_of_name algo in
+  let a = Algos.of_name algo in
   let prep = Experiment.prepare ds "base" in
   let t0 = Unix.gettimeofday () in
   let def = Experiment.train_full prep a in
@@ -308,7 +300,7 @@ let import_cmd =
 let sql dataset variant algo =
   let ds = dataset_of_name dataset in
   let vname = Option.value ~default:(fst (List.hd ds.Dataset.variants)) variant in
-  let a = algo_of_name algo in
+  let a = Algos.of_name algo in
   let prep = Experiment.prepare ds vname in
   let def = Experiment.train_full prep a in
   match def.Castor_logic.Clause.clauses with
@@ -324,13 +316,12 @@ let sql_cmd =
 
 (* ----------------------------- stats ----------------------------- *)
 
-let stats dataset variant algo domains json backends out seed =
+let stats dataset variant algo domains json out seed =
   let module Obs = Castor_obs.Obs in
-  let backend = one_backend "stats" backends in
   let ds = dataset_of_name dataset in
   let vname = Option.value ~default:(fst (List.hd ds.Dataset.variants)) variant in
-  let a = algo_of_name ~domains ?backend algo in
-  let prep = Experiment.prepare ?backend ds vname in
+  let a = Algos.of_name ~domains algo in
+  let prep = Experiment.prepare ds vname in
   Castor_ilp.Coverage.set_domains prep.Experiment.all_pos domains;
   Castor_ilp.Coverage.set_domains prep.Experiment.all_neg domains;
   Obs.reset ();
@@ -371,7 +362,7 @@ let stats_cmd =
       $ Arg.(
           value & opt int 1
           & info [ "domains" ] ~doc:"Parallel coverage-test domains.")
-      $ json_arg $ backends_arg $ out_arg $ seed_arg)
+      $ json_arg $ out_arg $ seed_arg)
 
 (* ---------------------------- discover --------------------------- *)
 
@@ -454,13 +445,11 @@ let emit_diagnostics groups json out =
   end;
   if Diagnostic.has_errors all then exit 1
 
-let analyze dataset clauses_file clause_str sources rules json backends out seed
-    =
-  (* analysis is deterministic and reads no stored coverage data: the
-     seed and backend are validated then ignored, accepted only so
-     sweep scripts can pass one uniform flag set across subcommands *)
+let analyze dataset clauses_file clause_str sources rules json out seed =
+  (* analysis is deterministic: the seed is accepted and ignored, only
+     so sweep scripts can pass one uniform flag set across
+     subcommands *)
   ignore (seed : int);
-  ignore (one_backend "analyze" backends);
   if rules then print_rule_catalog ()
   else if sources <> [] then begin
     (* OCaml-source lints run standalone: no dataset context needed.
@@ -531,35 +520,23 @@ let analyze_cmd =
                  lookups that bypass the Backend seam (repeatable)."
               ~docv:"FILE")
       $ Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalog and exit.")
-      $ json_arg $ backends_arg $ out_arg $ seed_arg)
+      $ json_arg $ out_arg $ seed_arg)
 
 (* ----------------------------- fuzz ------------------------------ *)
 
-let fuzz dataset seed budget max_depth learners backends no_induce no_shrink
-    json out expect =
+let fuzz dataset seed budget max_depth learners no_induce no_shrink json out
+    expect =
   let module Fuzz = Castor_fuzz.Fuzz in
   let module Sweep = Castor_fuzz.Sweep in
   let module Shrink = Castor_fuzz.Shrink in
   let ds = dataset_of_name dataset in
-  let learners =
-    match learners with
-    | [] -> Learner.names ()
-    | ls ->
-        List.iter (fun l -> ignore (algo_of_name l)) ls;
-        ls
-  in
-  let backends =
-    match backends with
-    | [] -> [ None ]
-    | bs -> List.map Option.some bs
-  in
+  let learners = match learners with [] -> Learner.names () | ls -> ls in
   let config =
     {
       Fuzz.seed;
       budget;
       max_depth;
       learners;
-      backends;
       induce = not no_induce;
       shrink = not no_shrink;
     }
@@ -579,7 +556,7 @@ let fuzz dataset seed budget max_depth learners backends no_induce no_shrink
       report.Fuzz.rp_variants;
     List.iter
       (fun (v : Sweep.verdict) ->
-        Fmt.pr "%s [%s]: %s@." v.Sweep.v_learner v.Sweep.v_backend
+        Fmt.pr "%s: %s@." v.Sweep.v_learner
           (if v.Sweep.v_equivalent then "data-equivalent on all variants"
            else "DIVERGES on " ^ String.concat ", " v.Sweep.v_diverging))
       report.Fuzz.rp_verdicts;
@@ -590,14 +567,6 @@ let fuzz dataset seed budget max_depth learners backends no_induce no_shrink
   let broken =
     List.filter (fun l -> not (Fuzz.independent report ~learner:l)) expect
   in
-  if report.Fuzz.rp_backend_mismatches <> [] then begin
-    Fmt.epr "backend changes learner output: %s@."
-      (String.concat ", "
-         (List.map
-            (fun (l, v) -> l ^ "/" ^ v)
-            report.Fuzz.rp_backend_mismatches));
-    exit 1
-  end;
   if report.Fuzz.rp_planner_divergences <> [] then begin
     Fmt.epr "planner strategies disagree in result (kernel vs subsumption): %s@."
       (String.concat ", "
@@ -617,7 +586,7 @@ let fuzz_cmd =
        ~doc:
          "Zero-config schema-variant fuzzing: induce the language bias from \
           the raw data, generate a seeded family of valid schema variants, \
-          sweep learners across variants and backends, and shrink any \
+          sweep learners across variants, and shrink any \
           schema-independence failure to a minimal counterexample. Exits \
           nonzero when an expected-independent learner diverges.")
     Term.(
@@ -629,10 +598,9 @@ let fuzz_cmd =
           value & opt int 2
           & info [ "max-depth" ] ~doc:"Maximum chained transformations per variant.")
       $ Arg.(
-          value & opt_all string []
+          value & opt_all algo_conv []
           & info [ "a"; "algo" ]
               ~doc:"Learner to sweep (repeatable; default: every registered learner).")
-      $ backends_arg
       $ Arg.(
           value & flag
           & info [ "no-induce" ]

@@ -7,17 +7,16 @@ open Castor_learners
 open Castor_core
 open Experiment
 
-(** [of_name ?gate ?domains ?backend name] resolves a learner through
-    the {!Castor_learners.Learner} registry — the single code path the
-    CLI and drivers use instead of pattern-matching names. The learner
+(** [of_name ?gate ?domains name] resolves a learner through the
+    {!Castor_learners.Learner} registry — the single code path the CLI
+    and drivers use instead of pattern-matching names. The learner
     runs with its own [default_config], with coverage tests fanned out
-    over [domains] and re-based onto the [backend] storage spec when
-    one is given (the CLI's [--backend] flag lands here).
+    over [domains].
 
     @raise Learner.Unknown_learner on unregistered names. *)
-let of_name ?gate ?(domains = 1) ?backend name =
+let of_name ?gate ?(domains = 1) name =
   let module L = (val Learner.find name) in
-  let config = { L.default_config with Learner.domains; backend } in
+  let config = { L.default_config with Learner.domains } in
   {
     algo_name = L.name;
     run = (fun p -> (L.learn ?gate ~config p).Learner.Report.definition);

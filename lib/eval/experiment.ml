@@ -53,13 +53,11 @@ let default_bottom_params =
     const_domains = [];
   }
 
-(** [prepare ?bottom_params ?mode ?backend dataset variant_name]
-    materializes a variant and saturates all examples with the IND
-    chase; [backend] picks the storage substrate of the coverage
-    structures. The dataset's frontier filter is always applied. *)
+(** [prepare ?bottom_params ?mode dataset variant_name] materializes a
+    variant and saturates all examples with the IND chase. The
+    dataset's frontier filter is always applied. *)
 let prepare ?(bottom_params = default_bottom_params)
-    ?(mode : Inclusion.mode = `Equality_only) ?backend (ds : Dataset.t)
-    variant_name =
+    ?(mode : Inclusion.mode = `Equality_only) (ds : Dataset.t) variant_name =
   let bottom_params =
     {
       bottom_params with
@@ -73,10 +71,10 @@ let prepare ?(bottom_params = default_bottom_params)
   {
     pvariant = v;
     all_pos =
-      Coverage.build ~expand ?backend ~params:bottom_params
+      Coverage.build ~expand ~params:bottom_params
         v.Dataset.vinstance ds.Dataset.examples.Examples.pos;
     all_neg =
-      Coverage.build ~expand ?backend ~params:bottom_params
+      Coverage.build ~expand ~params:bottom_params
         v.Dataset.vinstance ds.Dataset.examples.Examples.neg;
     pdataset = ds;
     bottom_params;
@@ -89,7 +87,7 @@ let prepare ?(bottom_params = default_bottom_params)
     examples only). Evaluation against the true negatives still uses
     a {!prepare}d structure. *)
 let prepare_positive_only ?(bottom_params = default_bottom_params)
-    ?(mode : Inclusion.mode = `Equality_only) ?backend ?(ratio = 2) ?(seed = 23)
+    ?(mode : Inclusion.mode = `Equality_only) ?(ratio = 2) ?(seed = 23)
     (ds : Dataset.t) variant_name =
   let bottom_params =
     {
@@ -108,10 +106,10 @@ let prepare_positive_only ?(bottom_params = default_bottom_params)
   {
     pvariant = v;
     all_pos =
-      Coverage.build ~expand ?backend ~params:bottom_params
+      Coverage.build ~expand ~params:bottom_params
         v.Dataset.vinstance ds.Dataset.examples.Examples.pos;
     all_neg =
-      Coverage.build ~expand ?backend ~params:bottom_params
+      Coverage.build ~expand ~params:bottom_params
         v.Dataset.vinstance pseudo_neg;
     pdataset = ds;
     bottom_params;
@@ -234,10 +232,9 @@ let signature (prep : prepared) def =
 
 (** [grid ?folds dataset ~variants ~algos] — the full experiment
     table. *)
-let grid ?folds ?bottom_params ?mode ?backend (ds : Dataset.t) ~variants
-    ~algos =
+let grid ?folds ?bottom_params ?mode (ds : Dataset.t) ~variants ~algos =
   List.concat_map
     (fun vname ->
-      let prep = prepare ?bottom_params ?mode ?backend ds vname in
+      let prep = prepare ?bottom_params ?mode ds vname in
       List.map (fun algo -> crossval ?folds prep algo) algos)
     variants

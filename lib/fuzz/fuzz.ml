@@ -2,7 +2,7 @@
 
     induce (zero-config language bias, {!Bias}) →
     generate (seeded variant family, {!Vargen}) →
-    sweep (learners × variants × backends, {!Sweep}) →
+    sweep (learners × variants, {!Sweep}) →
     shrink (minimal counterexamples for divergers, {!Shrink}).
 
     [run] is the single entry point used by the CLI, the bench
@@ -21,7 +21,6 @@ type config = {
   budget : int;  (** max generated variants *)
   max_depth : int;  (** max chained ops per variant *)
   learners : string list;  (** registry names to sweep *)
-  backends : Backend.spec option list;  (** [None] = learner default *)
   induce : bool;  (** strip hand-written bias and re-induce *)
   shrink : bool;  (** shrink divergers to counterexamples *)
 }
@@ -32,7 +31,6 @@ let default_config =
     budget = 8;
     max_depth = 2;
     learners = [ "castor" ];
-    backends = [ None ];
     induce = true;
     shrink = true;
   }
@@ -44,7 +42,6 @@ type report = {
   rp_variants : (string * Transform.t) list;  (** generated only *)
   rp_runs : Sweep.run list;
   rp_verdicts : Sweep.verdict list;
-  rp_backend_mismatches : (string * string) list;
   rp_planner_divergences : (string * string) list;
       (** (variant, clause) pairs where the batch kernel and
           θ-subsumption disagreed — planner strategies may diverge in
@@ -68,24 +65,15 @@ let run ?(config = default_config) (ds : Dataset.t) =
   in
   let base = ("base", []) in
   let ds = { ds with Dataset.variants = base :: generated } in
-  let runs =
-    Sweep.sweep ~backends:config.backends ~seed:config.seed
-      ~learners:config.learners ds
-  in
+  let runs = Sweep.sweep ~seed:config.seed ~learners:config.learners ds in
   let verdicts = Sweep.verdicts ~base:(fst base) runs in
-  let mismatches = Sweep.backend_mismatches runs in
-  let planner_divergences =
-    match config.backends with
-    | backend :: _ -> Sweep.planner_agreement ?backend ds
-    | [] -> Sweep.planner_agreement ds
-  in
+  let planner_divergences = Sweep.planner_agreement ds in
   let counterexamples =
     if not config.shrink then []
     else
       List.filter_map
         (fun (v : Sweep.verdict) ->
-          if v.Sweep.v_equivalent || v.Sweep.v_backend <> Sweep.backend_name None
-          then None
+          if v.Sweep.v_equivalent then None
           else Shrink.falsify ~seed:config.seed ~learner:v.Sweep.v_learner ds)
         verdicts
   in
@@ -97,13 +85,12 @@ let run ?(config = default_config) (ds : Dataset.t) =
     rp_variants = generated;
     rp_runs = runs;
     rp_verdicts = verdicts;
-    rp_backend_mismatches = mismatches;
     rp_planner_divergences = planner_divergences;
     rp_counterexamples = counterexamples;
   }
 
 (** [independent report ~learner] — did [learner] pass every
-    equivalence check on every backend? *)
+    equivalence check? *)
 let independent report ~learner =
   List.for_all
     (fun (v : Sweep.verdict) ->
@@ -145,7 +132,6 @@ let report_to_json (r : report) =
         ("budget", string_of_int c.budget);
         ("max_depth", string_of_int c.max_depth);
         ("learners", jlist jstr c.learners);
-        ("backends", jlist (fun b -> jstr (Sweep.backend_name b)) c.backends);
         ("induce", string_of_bool c.induce);
         ("shrink", string_of_bool c.shrink);
       ]
@@ -174,7 +160,6 @@ let report_to_json (r : report) =
     jobj
       [
         ("learner", jstr x.Sweep.run_learner);
-        ("backend", jstr x.Sweep.run_backend);
         ("variant", jstr x.Sweep.run_variant);
         ("clauses", string_of_int x.Sweep.run_clauses);
         ("seconds", Printf.sprintf "%.3f" x.Sweep.run_seconds);
@@ -185,7 +170,6 @@ let report_to_json (r : report) =
     jobj
       [
         ("learner", jstr v.Sweep.v_learner);
-        ("backend", jstr v.Sweep.v_backend);
         ("equivalent", string_of_bool v.Sweep.v_equivalent);
         ("diverging", jlist jstr v.Sweep.v_diverging);
       ]
@@ -215,9 +199,6 @@ let report_to_json (r : report) =
       ("variants", jlist variant r.rp_variants);
       ("runs", jlist run r.rp_runs);
       ("verdicts", jlist verdict r.rp_verdicts);
-      ( "backend_mismatches",
-        jlist (fun (l, v) -> jobj [ ("learner", jstr l); ("variant", jstr v) ])
-          r.rp_backend_mismatches );
       ( "planner_divergences",
         jlist
           (fun (v, c) -> jobj [ ("variant", jstr v); ("clause", jstr c) ])

@@ -93,9 +93,9 @@ let max_budget_growths = 3
 let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
   (* The frontier neighborhood query always reads through the
      {!Backend} seam; the default wraps [inst] itself, and
-     {!Coverage.build} passes whatever backend its spec selected.
-     Hits are canonically re-sorted below, so any backend serving the
-     same tuple set is equivalent. *)
+     {!Coverage.build} passes its columnar snapshot of [inst]. Hits
+     are canonically re-sorted below, so any backend serving the same
+     tuple set is equivalent. *)
   let backend =
     match backend with Some b -> b | None -> Backend.of_instance inst
   in

@@ -6,13 +6,14 @@
     reused by every learner, exactly like the paper's per-example
     saturations.
 
-    All data access goes through the {!Castor_relational.Backend}
-    seam: [build] takes a {!Backend.spec} selecting the substrate
-    (columnar engine or flat instance), saturation reads
-    through it, and the example-saturation database the batch kernel
-    runs on is itself a backend. Strategy selection per candidate
-    clause — cached vector, batched semi-join, per-example subsumption
-    — is delegated to the cost-based {!Planner}.
+    Coverage runs inside one engine, the interned
+    {!Castor_relational.Columnar} store: [build] loads a columnar
+    snapshot of the source instance that saturation reads through the
+    {!Castor_relational.Backend} seam, and the example-saturation
+    database the batch kernel runs on is a columnar store keyed by
+    example id. Strategy selection per candidate clause — cached
+    vector, batched semi-join, per-example subsumption — is delegated
+    to the cost-based {!Planner}.
 
     Two optimizations from the paper are implemented here: a
     memoization table keyed by {!Clause.canonical_key} — a structural,
@@ -66,19 +67,16 @@ type t = {
       (** zero-copy backend over [inst]; its delta stream drives the
           incremental refresh and its generation marks staleness *)
   mutable data : Backend.t;
-      (** the saturation substrate ([spec] over [inst]); kept alive
-          across refreshes so deltas can be absorbed instead of
-          reloading the whole instance *)
-  mutable spec : Backend.spec;
-      (** which substrate saturation lookups and the example store are
-          built on; {!set_backend} switches it *)
+      (** the saturation substrate, a columnar snapshot of [inst];
+          kept alive across refreshes so deltas can be absorbed
+          instead of reloading the whole instance *)
   expand : (string -> Tuple.t -> (string * Tuple.t) list) option;
   params : Bottom.params;
-  mutable ex_store : Backend.t option;
-      (** backend holding the ground saturations, keyed by example id
-          (column 0 of every relation) — the operand of the batched
-          semi-join kernel; [None] when the kernel cannot apply (e.g.
-          the target relation shadows a schema relation) *)
+  mutable ex_store : Columnar.t option;
+      (** columnar store holding the ground saturations, keyed by
+          example id (column 0 of every relation) — the operand of the
+          batched semi-join kernel; [None] when the kernel cannot
+          apply (e.g. the target relation shadows a schema relation) *)
   mutable eids : int array;
       (** example id in [ex_store] of each local example; restriction
           via {!sub} remaps indexes but shares the store *)
@@ -110,10 +108,14 @@ type t = {
           shares the table. Main-thread only, like [cache]. *)
 }
 
-(* Load every ground saturation into an example-keyed backend:
-   relation R of arity a is stored with arity a + 1, column 0 carrying
-   the example id. The target relation holds the head atoms. *)
-let example_store ~spec inst (examples : Atom.t array)
+(* A saturation fact as stored in the example store: column 0 carries
+   the example id. *)
+let eid_row eid (a : Atom.t) = Array.append [| eid |] (Atom.to_tuple a)
+
+(* Load every ground saturation into an example-keyed columnar store:
+   relation R of arity a is stored with arity a + 1. The target
+   relation holds the head atoms. *)
+let example_store inst (examples : Atom.t array)
     (bottoms : Clause.t array) =
   if Array.length examples = 0 then None
   else begin
@@ -134,20 +136,18 @@ let example_store ~spec inst (examples : Atom.t array)
     in
     if (not uniform) || List.mem_assoc trel rels then None
     else begin
-      let backend = Backend.create spec (rels @ [ (trel, tarity + 1) ]) in
-      let module B = (val backend : Backend.S) in
+      let store = Columnar.create (rels @ [ (trel, tarity + 1) ]) in
       Array.iteri
         (fun i (c : Clause.t) ->
           let eid = Value.int i in
           let put (a : Atom.t) =
             if Atom.is_ground a then
-              ignore
-                (B.add a.Atom.rel (Array.append [| eid |] (Atom.to_tuple a)))
+              ignore (Columnar.add store a.Atom.rel (eid_row eid a))
           in
           put c.Clause.head;
           List.iter put c.Clause.body)
         bottoms;
-      Some backend
+      Some store
     end
   end
 
@@ -156,17 +156,15 @@ let saturate_all ?expand ~params ~backend inst examples =
     (fun e -> Bottom.saturation ?expand ~backend ~params inst e)
     examples
 
-(** [build ?expand ~params ~max_steps ?backend inst examples]
-    precomputes the saturations of [examples]. [backend] selects the
-    storage substrate ({!Backend.spec}; default {!Backend.default_spec},
-    the columnar engine) that both saturation neighborhood queries and
-    the batched coverage kernel run against. The structure subscribes
-    to [inst]'s delta stream, so later mutations are absorbed
-    incrementally. *)
-let build ?expand ~params ?(max_steps = 250_000)
-    ?(backend = Backend.default_spec) inst (examples : Atom.t array) =
+(** [build ?expand ~params ~max_steps inst examples] precomputes the
+    saturations of [examples] over a columnar snapshot of [inst] and
+    loads them into the example store the batched coverage kernel runs
+    against. The structure subscribes to [inst]'s delta stream, so
+    later mutations are absorbed incrementally. *)
+let build ?expand ~params ?(max_steps = 250_000) inst
+    (examples : Atom.t array) =
   let source = Backend.of_instance inst in
-  let data = Backend.load backend inst in
+  let data = Backend.load Backend.default_spec inst in
   let bottoms = saturate_all ?expand ~params ~backend:data inst examples in
   let pending = ref [] in
   Backend.subscribe source (fun ds -> pending := List.rev_append ds !pending);
@@ -182,10 +180,9 @@ let build ?expand ~params ?(max_steps = 250_000)
     inst;
     source;
     data;
-    spec = backend;
     expand;
     params;
-    ex_store = example_store ~spec:backend inst examples bottoms;
+    ex_store = example_store inst examples bottoms;
     eids = Array.init (Array.length examples) Fun.id;
     batch_enabled = true;
     src_gen;
@@ -235,8 +232,7 @@ let c_delta_rounds = Obs.Counter.create "ilp.saturation.delta_rounds"
 (** Memoized vectors lazily re-tested at patched positions only. *)
 let c_cache_patches = Obs.Counter.create "ilp.coverage.cache_patches"
 
-let cache_key t clause =
-  ignore t;
+let cache_key clause =
   Obs.Counter.incr c_key_builds;
   Clause.canonical_key clause
 
@@ -249,12 +245,12 @@ let dirty_log_cap = 32
 (* Rebuild everything derived from the source instance, from scratch. *)
 let full_refresh t gen =
   Obs.Counter.incr c_full_refreshes;
-  let data = Backend.load t.spec t.inst in
+  let data = Backend.load Backend.default_spec t.inst in
   t.data <- data;
   t.bottoms <-
     saturate_all ?expand:t.expand ~params:t.params ~backend:data t.inst
       t.examples;
-  t.ex_store <- example_store ~spec:t.spec t.inst t.examples t.bottoms;
+  t.ex_store <- example_store t.inst t.examples t.bottoms;
   t.eids <- Array.init (Array.length t.examples) Fun.id;
   Hashtbl.reset t.cache;
   t.dirty_log <- [];
@@ -273,15 +269,14 @@ let patch_ex_store t i (old_b : Clause.t) (new_b : Clause.t) =
   match t.ex_store with
   | None -> ()
   | Some store ->
-      let module B = (val store : Backend.S) in
       let eid = Value.int t.eids.(i) in
       let del (a : Atom.t) =
         if Atom.is_ground a then
-          ignore (B.remove a.Atom.rel (Array.append [| eid |] (Atom.to_tuple a)))
+          ignore (Columnar.remove store a.Atom.rel (eid_row eid a))
       in
       let put (a : Atom.t) =
         if Atom.is_ground a then
-          ignore (B.add a.Atom.rel (Array.append [| eid |] (Atom.to_tuple a)))
+          ignore (Columnar.add store a.Atom.rel (eid_row eid a))
       in
       del old_b.Clause.head;
       List.iter del old_b.Clause.body;
@@ -315,9 +310,8 @@ let affected_positions t ds =
        (List.init (Array.length t.bottoms) Fun.id))
 
 let incremental_refresh t ds gen =
-  (* catch the private saturation substrate up; set semantics make
-     re-application a no-op when [data] aliases the source (the Flat
-     zero-copy wrapper) or when a shared [sub] already absorbed it *)
+  (* catch the private saturation snapshot up; set semantics make
+     re-application a no-op when a shared [sub] already absorbed it *)
   Backend.apply t.data ds;
   Obs.Counter.add c_delta_applied (List.length ds);
   let affected = affected_positions t ds in
@@ -395,7 +389,6 @@ let sub t idxs =
     inst = t.inst;
     source = t.source;
     data = t.data;
-    spec = t.spec;
     expand = t.expand;
     params = t.params;
     ex_store = t.ex_store;
@@ -419,25 +412,8 @@ let set_cache t b = t.cache_enabled <- b
     (the differential battery compares the two). *)
 let set_batch t b = t.batch_enabled <- b
 
-(** The backend spec the structure currently runs on. *)
-let backend_spec t = t.spec
-
-(** [set_backend t spec] re-bases the structure on another storage
-    substrate: the saturation substrate and the example-saturation
-    store are rebuilt under [spec] and subsequent refreshes patch
-    through them. Bottom clauses are canonical — independent of the
-    serving backend — so they are kept; coverage semantics are
-    unchanged by construction. *)
-let set_backend t spec =
-  if spec <> t.spec then begin
-    t.spec <- spec;
-    t.data <- Backend.load spec t.inst;
-    t.ex_store <- example_store ~spec t.inst t.examples t.bottoms;
-    t.eids <- Array.init (Array.length t.examples) Fun.id
-  end
-
-(** The example-saturation backend, when the kernel is available —
-    lets learners reuse it for their own neighborhood queries. *)
+(** The columnar example-saturation store, when the kernel is
+    available — the operand of {!Castor_relational.Algebra.semijoin_batch}. *)
 let store t = t.ex_store
 
 let clear_cache t = Hashtbl.reset t.cache
@@ -592,7 +568,7 @@ let cached_vector t clause key =
 let covers t clause i =
   Obs.Span.with_span span_covers @@ fun () ->
   refresh t;
-  let key = cache_key t clause in
+  let key = cache_key clause in
   match cached_vector t clause key with
   | Some v ->
       Obs.Counter.incr Stats.c_cache_hits;
@@ -620,7 +596,7 @@ let vector ?assume ?within t clause =
   (* masked queries bypass cache insertion: their vectors are only
      valid for that particular mask *)
   let cacheable = t.cache_enabled && assume = None && within = None in
-  let key = cache_key t clause in
+  let key = cache_key clause in
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () ->
       let dt = Unix.gettimeofday () -. t0 in

@@ -7,7 +7,8 @@
 
     The per-candidate counts come from {!Coverage.covered_count},
     i.e. full coverage vectors whose evaluation strategy the
-    {!Planner} chooses per clause from backend statistics. *)
+    {!Planner} chooses per clause from the example store's
+    statistics. *)
 
 open Castor_logic
 module Obs = Castor_obs.Obs

@@ -12,7 +12,8 @@
     ({!Castor_relational.Hypergraph.decompose}) with worst-case-
     optimal bag materialization, {e every} clause is kernel-eligible
     and the choice is purely the estimate an RDBMS optimizer would
-    make, fed by {!Backend} statistics:
+    make, fed by the exact statistics of the {!Columnar} example
+    store:
 
     - a semi-join program scans, per pattern, either the whole
       relation ([cardinality]) or — when the pattern carries a
@@ -74,7 +75,7 @@ type strategy =
 
 type reason =
   | Cost  (** both strategies applicable; the estimates decided *)
-  | No_store  (** no example-saturation backend — kernel unavailable *)
+  | No_store  (** no example-saturation store — kernel unavailable *)
   | Disabled  (** batch kernel toggled off (differential testing) *)
 
 type decision = {
@@ -107,20 +108,18 @@ let pattern_of_atom (a : Atom.t) =
    scaled by the selectivity of every constant-bearing column under
    the independence assumption — [card × Π_j 1/distinct_count(j)] — a
    full scan when the pattern carries no constant. Pattern arg j lives
-   at stored column j+1 (column 0 is the example id). Distinct counts
-   come straight from the backend: columnar serves them exactly in
-   O(1), and the flat instance memoizes them per generation. *)
-let scan_estimate (backend : Backend.t) (p : Algebra.pattern) =
-  let module B = (val backend) in
-  if not (B.has_relation p.Algebra.prel) then 0.
+   at stored column j+1 (column 0 is the example id). The columnar
+   store serves both statistics exactly in O(1). *)
+let scan_estimate (store : Columnar.t) (p : Algebra.pattern) =
+  if not (Columnar.has_relation store p.Algebra.prel) then 0.
   else begin
-    let card = float_of_int (B.cardinality p.Algebra.prel) in
+    let card = float_of_int (Columnar.cardinality store p.Algebra.prel) in
     let est = ref card in
     Array.iteri
       (fun j a ->
         match a with
         | Algebra.Aconst _ ->
-            let d = B.distinct_count p.Algebra.prel (j + 1) in
+            let d = Columnar.distinct_count store p.Algebra.prel (j + 1) in
             if d > 0 then est := !est /. float_of_int d
         | Algebra.Avar _ -> ())
       p.Algebra.pargs;
@@ -132,10 +131,10 @@ let scan_estimate (backend : Backend.t) (p : Algebra.pattern) =
    worst-case materialization bound — the product of its members'
    scan estimates (clamped to >= 1 row each), which the
    worst-case-optimal bag join cannot exceed. *)
-let est_semijoin backend patterns (decomp : Hypergraph.decomposition) =
+let est_semijoin store patterns (decomp : Hypergraph.decomposition) =
   let pats = Array.of_list patterns in
   let scans =
-    Array.fold_left (fun acc p -> acc +. scan_estimate backend p) 0. pats
+    Array.fold_left (fun acc p -> acc +. scan_estimate store p) 0. pats
   in
   Array.fold_left
     (fun acc members ->
@@ -145,7 +144,7 @@ let est_semijoin backend patterns (decomp : Hypergraph.decomposition) =
           acc
           +. List.fold_left
                (fun prod e ->
-                 prod *. Float.max 1. (scan_estimate backend pats.(e)))
+                 prod *. Float.max 1. (scan_estimate store pats.(e)))
                1. members)
     scans decomp.Hypergraph.bags
 
@@ -170,13 +169,13 @@ let record decision =
 
 (** [choose ~batch_enabled ~ex_store ~n_undecided ~avg_bottom_len
     clause] plans the coverage test of [clause] over [n_undecided]
-    still-undecided examples. [ex_store] is the example-saturation
-    backend the kernel would run on ([None] disables it); statistics
-    are read from it. [decompose] builds (or serves from a memo —
+    still-undecided examples. [ex_store] is the columnar
+    example-saturation store the kernel would run on ([None] disables
+    it); statistics are read from it. [decompose] builds (or serves from a memo —
     {!Coverage} passes its per-canonical-key cache) the generalized
     hypertree decomposition of the clause's pattern hypergraph. The
     decision is recorded under [ilp.planner.*]. *)
-let choose ~batch_enabled ~(ex_store : Backend.t option) ~n_undecided
+let choose ~batch_enabled ~(ex_store : Columnar.t option) ~n_undecided
     ~avg_bottom_len ?(decompose = Hypergraph.decompose) (clause : Clause.t) =
   let clause_len = 1 + List.length clause.Clause.body in
   let est_subs = est_subsumption ~n_undecided ~clause_len ~avg_bottom_len in

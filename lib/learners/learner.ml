@@ -1,7 +1,6 @@
 (** Unified learner API: shared config, module type, registry. See the
     interface for the design rationale. *)
 
-open Castor_relational
 open Castor_logic
 open Castor_ilp
 module Obs = Castor_obs.Obs
@@ -15,7 +14,6 @@ type config = {
   beam : int;
   safe : bool;
   domains : int;
-  backend : Backend.spec option;
 }
 
 let default_config =
@@ -28,7 +26,6 @@ let default_config =
     beam = 2;
     safe = false;
     domains = 1;
-    backend = None;
   }
 
 module Report = struct
@@ -79,8 +76,7 @@ let c_runs = Obs.Counter.create "learners.api.runs"
 
 (* The shared run protocol every [make]-built learner follows: optional
    re-analysis gate, coverage fan-out over the configured domain count
-   and re-basing onto the configured storage backend (both restored on
-   exit, including on exceptions), wall-clock timing. *)
+   (restored on exit, including on exceptions), wall-clock timing. *)
 let make ~name ?(defaults = default_config) run : (module S) =
   (module struct
     let name = name
@@ -92,19 +88,10 @@ let make ~name ?(defaults = default_config) run : (module S) =
       (match gate with Some g -> Problem.recheck ~gate:g p | None -> ());
       Coverage.set_domains p.Problem.pos_cov config.domains;
       Coverage.set_domains p.Problem.neg_cov config.domains;
-      let prev_pos = Coverage.backend_spec p.Problem.pos_cov in
-      let prev_neg = Coverage.backend_spec p.Problem.neg_cov in
-      (match config.backend with
-      | Some spec ->
-          Coverage.set_backend p.Problem.pos_cov spec;
-          Coverage.set_backend p.Problem.neg_cov spec
-      | None -> ());
       Fun.protect
         ~finally:(fun () ->
           Coverage.set_domains p.Problem.pos_cov 1;
-          Coverage.set_domains p.Problem.neg_cov 1;
-          Coverage.set_backend p.Problem.pos_cov prev_pos;
-          Coverage.set_backend p.Problem.neg_cov prev_neg)
+          Coverage.set_domains p.Problem.neg_cov 1)
       @@ fun () ->
       let t0 = Unix.gettimeofday () in
       let definition = run config p in

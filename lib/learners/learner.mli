@@ -16,7 +16,6 @@
     The old per-learner [learn ?params] functions remain available and
     are what the [S] implementations delegate to. *)
 
-open Castor_relational
 open Castor_logic
 
 (** The shared configuration record. Each learner reads the fields
@@ -32,14 +31,10 @@ type config = {
   beam : int;  (** N — beam width (ProGolem, Castor) *)
   safe : bool;  (** emit only safe clauses (Section 7.3) *)
   domains : int;  (** parallel coverage-test domains *)
-  backend : Backend.spec option;
-      (** storage substrate the coverage structures are re-based onto
-          for the run ([None]: keep whatever the problem was built
-          with); restored afterwards *)
 }
 
 (** [clauselength 6, min_precision 0.67, minpos 2, max_clauses 30,
-    sample 5, beam 2, safe false, domains 1, backend None]. *)
+    sample 5, beam 2, safe false, domains 1]. *)
 val default_config : config
 
 (** What a unified learning run returns: the definition plus run
@@ -89,9 +84,8 @@ val learn : name:string -> ?gate:Problem.gate -> ?config:config -> Problem.t -> 
 (** [make ~name ?defaults run] builds an {!S} implementation from a
     plain [config -> problem -> definition] function, adding the
     shared run protocol: the optional re-analysis gate, coverage
-    fan-out over [config.domains] and re-basing onto [config.backend]
-    (both restored afterwards), wall-clock timing, and the
-    [learners.api.runs] counter. *)
+    fan-out over [config.domains] (restored afterwards), wall-clock
+    timing, and the [learners.api.runs] counter. *)
 val make :
   name:string ->
   ?defaults:config ->

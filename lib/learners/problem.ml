@@ -83,17 +83,15 @@ let run_gate (gate : gate) ~(bottom_params : Bottom.params) ~const_pool
         ~subject:(Fmt.str "problem %s" target.Schema.rname)
         diags
 
-(** [make ?bottom_params ?const_pool ?seed ?expand ?backend ?gate inst
-    target train] assembles a problem, precomputing the example
-    saturations. The optional [expand] hook threads Castor's IND chase
-    into the saturations used for coverage testing; [backend] selects
-    the storage substrate the coverage structures run on
-    ({!Castor_relational.Backend.spec}). [gate] controls the
+(** [make ?bottom_params ?const_pool ?seed ?expand ?gate inst target
+    train] assembles a problem, precomputing the example saturations.
+    The optional [expand] hook threads Castor's IND chase into the
+    saturations used for coverage testing. [gate] controls the
     pre-learning static analysis: [`Warn] (default) prints
     warning/error diagnostics, [`Strict] raises {!Rejected} on errors,
     [`Off] disables the check. *)
 let make ?(bottom_params = Bottom.default_params) ?(const_pool = []) ?(seed = 42)
-    ?expand ?backend ?(max_steps = 40_000) ?(gate = `Warn) instance target
+    ?expand ?(max_steps = 40_000) ?(gate = `Warn) instance target
     (train : Examples.t) =
   run_gate gate ~bottom_params ~const_pool ~max_steps instance target;
   {
@@ -101,10 +99,10 @@ let make ?(bottom_params = Bottom.default_params) ?(const_pool = []) ?(seed = 42
     target;
     train;
     pos_cov =
-      Coverage.build ?expand ?backend ~params:bottom_params ~max_steps instance
+      Coverage.build ?expand ~params:bottom_params ~max_steps instance
         train.Examples.pos;
     neg_cov =
-      Coverage.build ?expand ?backend ~params:bottom_params ~max_steps instance
+      Coverage.build ?expand ~params:bottom_params ~max_steps instance
         train.Examples.neg;
     const_pool;
     bottom_params;

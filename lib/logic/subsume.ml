@@ -97,6 +97,11 @@ type plit = {
           [cands] *)
 }
 
+(* every literal of [arr] from index [i] on has [n] arguments *)
+let rec all_of_arity n (arr : Atom.t array) i =
+  i >= Array.length arr
+  || (Array.length arr.(i).Atom.args = n && all_of_arity n arr (i + 1))
+
 let compile_pattern (lits : Atom.t list) (groups : groups) =
   let var_ids = Hashtbl.create 16 in
   let n_vars = ref 0 in
@@ -124,10 +129,23 @@ let compile_pattern (lits : Atom.t list) (groups : groups) =
           |> List.filter_map (function Pvar i -> Some i | Pconst _ -> None)
           |> List.sort_uniq compare
         in
+        (* a literal only matches candidates of its own relation
+           {e and} arity; with none left it is refuted up front *)
         let cands =
           match Hashtbl.find_opt groups a.Atom.rel with
-          | Some arr -> arr
           | None -> raise Refuted
+          | Some arr ->
+              let n = Array.length a.Atom.args in
+              if all_of_arity n arr 0 then arr
+              else begin
+                let kept =
+                  List.filter
+                    (fun (c : Atom.t) -> Array.length c.Atom.args = n)
+                    (Array.to_list arr)
+                in
+                if kept = [] then raise Refuted;
+                Array.of_list kept
+              end
         in
         { prel = a.Atom.rel; pargs; cands; vset; idx = [] })
       lits

@@ -5,10 +5,10 @@
     (Section 4).
 
     The second half is the batched semi-join coverage kernel
-    ({!semijoin_batch}): one Yannakakis program over a {!Backend}
-    answers a whole batch of example-coverage questions, reading each
-    pattern once through the backend's scan, lookup and pushdown
-    surface. *)
+    ({!semijoin_batch}): one Yannakakis program over a {!Columnar}
+    example store answers a whole batch of example-coverage questions,
+    reading each pattern once through the engine's select-project
+    pushdown. *)
 
 (** [project inst rel attrs] computes [π_attrs(inst.rel)] as a
     duplicate-free tuple list in the order of [attrs]. *)
@@ -113,7 +113,7 @@ let natural_join_all = function
 let select tbl pred = { tbl with trows = List.filter pred tbl.trows }
 
 (* ------------------------------------------------------------------ *)
-(* Batched semi-join kernel over a storage backend                     *)
+(* Batched semi-join kernel over the columnar example store            *)
 (* ------------------------------------------------------------------ *)
 
 module Obs = Castor_obs.Obs
@@ -156,34 +156,22 @@ let pattern_vars p =
    row.(k + 1) the binding of the k-th variable of [svars]. *)
 type sj_table = { svars : string list; mutable srows : Tuple.t list }
 
-(* Scan one pattern against the backend. The pattern scan is one
-   select-project query: σ on the constants and repeated variables, π
-   to (eid, distinct variables), deduplicated. A backend that answers
-   [select_project] (the columnar substrate) takes the whole query —
-   posting-list intersections instead of scan-and-filter, memoized
-   across repeated scans — and reports how many stored rows it
-   actually visited, which is what [rows_scanned] counts on the
-   generic path below. Otherwise: pick an indexed access path when the
-   pattern carries a constant, filter, project, dedup. *)
-let scan_pattern (backend : Backend.t) (p : pattern) =
-  let module B = (val backend) in
+(* Scan one pattern against the example store. The pattern scan is
+   one select-project query inside the columnar engine: σ on the
+   constants and repeated variables, π to (eid, distinct variables),
+   deduplicated — posting-list intersections instead of
+   scan-and-filter, memoized across repeated scans. [rows_scanned]
+   counts the stored rows the engine actually visited. A relation the
+   store lacks, or a pattern of the wrong arity, matches nothing. *)
+let scan_pattern (store : Columnar.t) (p : pattern) =
   let vars = pattern_vars p in
-  let proj_of_vars () =
-    List.map
-      (fun x ->
-        let pos = ref 0 in
-        Array.iteri
-          (fun j a ->
-            match a with
-            | Avar y when String.equal x y && !pos = 0 -> pos := j + 1
-            | _ -> ())
-          p.pargs;
-        !pos)
-      vars
-  in
-  let pushdown =
-    if B.has_relation p.prel && B.arity p.prel = Array.length p.pargs + 1
-    then begin
+  let rows =
+    if
+      not
+        (Columnar.has_relation store p.prel
+        && Columnar.arity store p.prel = Array.length p.pargs + 1)
+    then []
+    else begin
       let consts = ref [] and eqs = ref [] in
       let first_pos = Hashtbl.create 8 in
       Array.iteri
@@ -195,68 +183,16 @@ let scan_pattern (backend : Backend.t) (p : pattern) =
               | None -> Hashtbl.add first_pos x (j + 1)
               | Some p0 -> eqs := (p0, j + 1) :: !eqs))
         p.pargs;
-      B.select_project p.prel ~consts:(List.rev !consts)
-        ~eqs:(List.rev !eqs)
-        ~project:(0 :: proj_of_vars ())
+      let project = 0 :: List.map (Hashtbl.find first_pos) vars in
+      match
+        Columnar.select_project store p.prel ~consts:(List.rev !consts)
+          ~eqs:(List.rev !eqs) ~project
+      with
+      | Some (rows, examined) ->
+          Obs.Counter.add c_rows_scanned examined;
+          rows
+      | None -> []
     end
-    else None
-  in
-  match pushdown with
-  | Some (rows, examined) ->
-      Obs.Counter.add c_rows_scanned examined;
-      { svars = vars; srows = rows }
-  | None ->
-  let candidates =
-    if not (B.has_relation p.prel) then []
-    else begin
-      let const =
-        let found = ref None in
-        Array.iteri
-          (fun j a ->
-            match (a, !found) with
-            | Aconst v, None -> found := Some (j, v)
-            | _ -> ())
-          p.pargs;
-        !found
-      in
-      match const with
-      | Some (j, v) -> B.find p.prel (j + 1) v
-      | None -> B.tuples p.prel
-    end
-  in
-  let matches (row : Tuple.t) =
-    Array.length row = Array.length p.pargs + 1
-    &&
-    let binding = Hashtbl.create 8 in
-    let ok = ref true in
-    Array.iteri
-      (fun j a ->
-        if !ok then
-          match a with
-          | Aconst v -> if not (Value.equal row.(j + 1) v) then ok := false
-          | Avar x -> (
-              match Hashtbl.find_opt binding x with
-              | Some v -> if not (Value.equal row.(j + 1) v) then ok := false
-              | None -> Hashtbl.add binding x row.(j + 1)))
-      p.pargs;
-    !ok
-  in
-  let proj = 0 :: proj_of_vars () in
-  let seen = Hashtbl.create 64 in
-  let rows =
-    List.filter_map
-      (fun row ->
-        Obs.Counter.incr c_rows_scanned;
-        if matches row then begin
-          let pr = Tuple.project proj row in
-          if Hashtbl.mem seen pr then None
-          else begin
-            Hashtbl.replace seen pr ();
-            Some pr
-          end
-        end
-        else None)
-      candidates
   in
   { svars = vars; srows = rows }
 
@@ -422,17 +358,15 @@ let leapfrog_bag (tables : sj_table list) =
   enum 0 (Array.init m (fun k -> (0, Array.length (fst ops.(k)))));
   { svars = bag_vars; srows = List.rev !out }
 
-(** [semijoin_batch ?decomposition backend ~patterns ~eids] answers,
+(** [semijoin_batch ?decomposition store ~patterns ~eids] answers,
     for each of the [k] example ids in [eids], whether the conjunctive
     [patterns] have at least one satisfying assignment among the
     example's stored tuples — k boolean coverage answers from one
     Yannakakis semi-join program, instead of k independent subsumption
     searches.
 
-    The kernel is backend-generic: every pattern is scanned through
-    the {!Backend} surface ([select_project] when the engine answers
-    it, else an indexed [find] or a full [tuples] scan), once for the
-    whole batch.
+    Every pattern is scanned once for the whole batch, as one
+    {!Columnar.select_project} query against the example store.
 
     The pattern hypergraph (one hyperedge of variables per pattern)
     need not be acyclic: the program runs over a generalized hypertree
@@ -445,7 +379,7 @@ let leapfrog_bag (tables : sj_table list) =
     roots. [decomposition] supplies a precomputed (possibly memoized)
     decomposition of exactly [List.map pattern_vars patterns]; it is
     rebuilt here when absent. *)
-let semijoin_batch ?decomposition (backend : Backend.t)
+let semijoin_batch ?decomposition (store : Columnar.t)
     ~(patterns : pattern list) ~(eids : int array) =
   Obs.Span.with_span span_batch @@ fun () ->
   Obs.Counter.incr c_batches;
@@ -459,7 +393,7 @@ let semijoin_batch ?decomposition (backend : Backend.t)
         | Some d -> d
         | None -> Hypergraph.decompose (List.map pattern_vars patterns)
       in
-      let tables = Array.map (scan_pattern backend) (Array.of_list patterns) in
+      let tables = Array.map (scan_pattern store) (Array.of_list patterns) in
       let bag_tables =
         Array.map
           (fun members ->

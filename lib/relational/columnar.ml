@@ -1,9 +1,10 @@
 (** Columnar interned relation storage.
 
     {!Instance} keeps boxed {!Value} tuples in hash sets; every scan
-    and probe re-hashes whole tuples. This substrate, the default
-    behind {!Backend}, is the "do the algebra inside the engine"
-    layout the SQL-for-SRL position paper argues for:
+    and probe re-hashes whole tuples. This substrate, the one coverage
+    engine (the saturation snapshot behind {!Backend} and the example
+    store the batched kernel reads), is the "do the algebra inside the
+    engine" layout the SQL-for-SRL position paper argues for:
 
     - every {!Value} is {e interned} to a dense int id through a
       per-relation dictionary ([intern] / [vals]), so equality anywhere
@@ -523,13 +524,13 @@ let tuples_containing t rel v =
     predicate); repeated-variable checks and projection are int
     operations on the columns; deduplication keys on projected value
     ids. Returns [(rows, examined)] where [examined] counts the rows
-    the engine actually visited — the quantity the generic scan path
-    reports as [algebra.semijoin.rows_scanned].
+    the engine actually visited — what the semi-join kernel reports
+    as [algebra.semijoin.rows_scanned].
 
     Results are memoized per (query, generation): while the data does
     not move, a repeated scan returns the materialized result with
-    [examined = 0]. Returns [None] (caller falls back to the generic
-    path) only for out-of-range columns. *)
+    [examined = 0]. Returns [None] only for an unknown relation or an
+    out-of-range column. *)
 let select_project t rel ~consts ~eqs ~project =
   match Hashtbl.find_opt t.rels rel with
   | None -> None

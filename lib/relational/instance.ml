@@ -126,11 +126,6 @@ let apply t ds =
   in
   Delta.Log.extend t.log effective
 
-(* Aliases for the singleton mutators. *)
-let add_tuple = add
-
-let remove_tuple = remove
-
 (** [index_consistent t] compares the delta-maintained secondary index
     against a from-scratch rebuild: every [(relation, column, value)]
     bucket must hold exactly the tuples of the primary store carrying

@@ -174,8 +174,8 @@ def main():
         default=[],
         metavar="A:B",
         help="fail unless counter A is strictly less than counter B in the "
-        "current run (both must be recorded) — e.g. the columnar backend's "
-        "scan work must stay below the flat layout's",
+        "current run (both must be recorded) — e.g. the cyclic kernel's "
+        "rows and seeks must stay below subsumption's steps and scans",
     )
     args = ap.parse_args()
 

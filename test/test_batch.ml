@@ -1,5 +1,4 @@
 (* Differential battery for the planner-dispatched coverage kernel:
-   whatever the backend (flat instance or columnar engine),
    Coverage.vector with the kernel enabled must agree bit-for-bit with
    the per-example Subsume path, on both a real dataset (family) and
    seeded random problems. Also checks the GYO join forest, the
@@ -17,10 +16,6 @@ let family = Castor_datasets.Family.generate ()
 let family_inst = family.Castor_datasets.Dataset.instance
 
 let family_ex = family.Castor_datasets.Dataset.examples
-
-(* every substrate the acceptance battery pins: the flat instance and
-   the interned columnar engine *)
-let specs = [ Backend.Flat; Backend.Columnar ]
 
 (* body prefixes of each example's variabilized bottom clause — the
    shapes ARMG actually walks through *)
@@ -62,45 +57,17 @@ let differential_on cov clauses =
 
 let family_suite =
   [
-    tc "family: planner coverage == Subsume coverage on every backend"
+    tc "family: planner coverage == Subsume coverage on the default store"
       (fun () ->
         let params = Bottom.default_params in
         let cands = candidates family_inst params family_ex.Examples.pos 3 in
         let before = Obs.Counter.value Algebra.c_batches in
-        List.iter
-          (fun backend ->
-            let pos =
-              Coverage.build ~params ~backend family_inst
-                family_ex.Examples.pos
-            in
-            let neg =
-              Coverage.build ~params ~backend family_inst
-                family_ex.Examples.neg
-            in
-            differential_on pos cands;
-            differential_on neg cands)
-          specs;
+        let pos = Coverage.build ~params family_inst family_ex.Examples.pos in
+        let neg = Coverage.build ~params family_inst family_ex.Examples.neg in
+        differential_on pos cands;
+        differential_on neg cands;
         check Alcotest.bool "kernel actually ran" true
           (Obs.Counter.value Algebra.c_batches > before));
-    tc "family: the backend is invisible in coverage vectors" (fun () ->
-        let params = Bottom.default_params in
-        let cands = candidates family_inst params family_ex.Examples.pos 2 in
-        let vectors backend =
-          let cov =
-            Coverage.build ~params ~backend family_inst
-              family_ex.Examples.pos
-          in
-          Coverage.set_cache cov false;
-          List.map (fun c -> Array.to_list (Coverage.vector cov c)) cands
-        in
-        let v1 = vectors Backend.Flat in
-        List.iter
-          (fun backend ->
-            check
-              Alcotest.(list (list bool))
-              (Backend.spec_to_string backend)
-              v1 (vectors backend))
-          specs);
   ]
 
 (* ---------------- seeded random problems -------------------------- *)
@@ -133,34 +100,18 @@ let random_problem seed =
 
 let random_suite =
   [
-    qt ~count:25 "random problems: planner == Subsume on every backend"
+    qt ~count:25 "random problems: planner == Subsume on the default store"
       QCheck2.Gen.(int_bound 10_000)
       (fun seed ->
         let inst, examples = random_problem seed in
         let params = Bottom.default_params in
         let cands = candidates inst params examples 4 in
+        let cov = Coverage.build ~params inst examples in
         List.for_all
-          (fun backend ->
-            let cov = Coverage.build ~params ~backend inst examples in
-            List.for_all
-              (fun clause ->
-                let vb, vs = both cov clause in
-                vb = vs)
-              cands)
-          specs);
-    qt ~count:25 "random problems: backend invariance of the kernel"
-      QCheck2.Gen.(int_bound 10_000)
-      (fun seed ->
-        let inst, examples = random_problem seed in
-        let params = Bottom.default_params in
-        let cands = candidates inst params examples 3 in
-        let vectors backend =
-          let cov = Coverage.build ~params ~backend inst examples in
-          Coverage.set_cache cov false;
-          List.map (fun c -> Array.to_list (Coverage.vector cov c)) cands
-        in
-        let v1 = vectors Backend.Flat in
-        List.for_all (fun s -> vectors s = v1) specs);
+          (fun clause ->
+            let vb, vs = both cov clause in
+            vb = vs)
+          cands);
   ]
 
 (* ---------------- join forest & hypertree decomposition ----------- *)
@@ -223,9 +174,6 @@ let forest_suite =
   [
     qt ~count:500 "is_acyclic matches the classical GYO reduction" hyper_gen
       (fun h -> Hypergraph.is_acyclic h = gyo_acyclic_oracle h);
-    qt ~count:500 "decompose: width <= 1 exactly on acyclic hypergraphs"
-      hyper_gen
-      (fun h -> (Hypergraph.decompose h).Hypergraph.width <= 1 = gyo_acyclic_oracle h);
     qt ~count:500 "join_forest is a permutation with children before parents"
       hyper_gen
       (fun h ->
@@ -256,6 +204,9 @@ let forest_suite =
         let d = Hypergraph.decompose h in
         List.sort compare (List.concat (Array.to_list d.Hypergraph.bags))
         = List.init (List.length h) Fun.id);
+    qt ~count:500 "decompose: width <= 1 exactly on acyclic hypergraphs"
+      hyper_gen
+      (fun h -> (Hypergraph.decompose h).Hypergraph.width <= 1 = gyo_acyclic_oracle h);
     qt ~count:500 "decompose: bag vars are the union of member sorts"
       hyper_gen
       (fun h ->
@@ -395,7 +346,7 @@ let kernel_cyclic_suite =
         in
         let d = Hypergraph.decompose sorts in
         check Alcotest.int "width" 2 d.Hypergraph.width);
-    tc "cyclic bodies: direct kernel == Subsume on all six backends"
+    tc "cyclic bodies: direct kernel == Subsume on the default store"
       (fun () ->
         let params = Bottom.default_params in
         List.iter
@@ -414,26 +365,20 @@ let kernel_cyclic_suite =
                 (fun c -> Array.to_list (Coverage.vector cov c))
                 clauses
             in
-            List.iter
-              (fun backend ->
-                let cov = Coverage.build ~params ~backend inst examples in
-                let store = Option.get (Coverage.store cov) in
-                let eids = Array.init (Array.length examples) Fun.id in
-                List.iteri
-                  (fun i clause ->
-                    let direct =
-                      Algebra.semijoin_batch store
-                        ~patterns:(patterns_of clause) ~eids
-                    in
-                    check
-                      Alcotest.(list bool)
-                      (Fmt.str "%s clause %d"
-                         (Backend.spec_to_string backend)
-                         i)
-                      (List.nth reference i)
-                      (Array.to_list direct))
-                  clauses)
-              specs)
+            let cov = Coverage.build ~params inst examples in
+            let store = Option.get (Coverage.store cov) in
+            let eids = Array.init (Array.length examples) Fun.id in
+            List.iteri
+              (fun i clause ->
+                let direct =
+                  Algebra.semijoin_batch store ~patterns:(patterns_of clause)
+                    ~eids
+                in
+                check
+                  Alcotest.(list bool)
+                  (Fmt.str "seed %d clause %d" seed i)
+                  (List.nth reference i) (Array.to_list direct))
+              clauses)
           [ 3; 17 ]);
     tc "decomposition memo: α-equivalent probes hit, order changes miss"
       (fun () ->
@@ -517,6 +462,43 @@ let edge_suite =
         let vb, vs = both cov clause in
         check Alcotest.(list bool) "agree" vs vb;
         check Alcotest.(list bool) "all uncovered" [ false; false; false ] vb);
+    tc "a literal of unknown relation or wrong arity covers nothing, on every route"
+      (fun () ->
+        (* facts p(c0,c1), p(c1,c2); examples t(c0..c2). A body literal
+           whose relation is absent (r/2) or whose arity differs from
+           the stored one (p/1, p/3) matches no fact, so no example is
+           covered — whichever strategy answers *)
+        let inst = Instance.create pq_schema in
+        let c i = Value.str (Printf.sprintf "c%d" i) in
+        Instance.add inst "p" (Tuple.of_list [ c 0; c 1 ]);
+        Instance.add inst "p" (Tuple.of_list [ c 1; c 2 ]);
+        let examples =
+          Array.init 3 (fun i -> Atom.of_tuple "t" (Tuple.of_list [ c i ]))
+        in
+        let cov = Coverage.build ~params:Bottom.default_params inst examples in
+        let store = Option.get (Coverage.store cov) in
+        let eids = Array.init 3 Fun.id in
+        let none = [ false; false; false ] in
+        List.iter
+          (fun (label, lit) ->
+            let clause = Clause.make (Atom.make "t" [ va "A" ]) [ lit ] in
+            check Alcotest.(list bool) (label ^ ": direct kernel") none
+              (Array.to_list
+                 (Algebra.semijoin_batch store ~patterns:(patterns_of clause)
+                    ~eids));
+            let vb, vs = both cov clause in
+            check Alcotest.(list bool) (label ^ ": batching on") none vb;
+            check Alcotest.(list bool) (label ^ ": batching off") none vs;
+            check Alcotest.(list bool) (label ^ ": subsumes_naive") none
+              (Array.to_list
+                 (Array.map
+                    (fun b -> Subsume.subsumes_naive clause b)
+                    cov.Coverage.bottoms)))
+          [
+            ("missing relation r(A,B)", Atom.make "r" [ va "A"; va "B" ]);
+            ("short literal p(A)", Atom.make "p" [ va "A" ]);
+            ("long literal p(A,B,C)", Atom.make "p" [ va "A"; va "B"; va "C" ]);
+          ]);
   ]
 
 (* ---------------- mutation invalidates the memo -------------------- *)
@@ -545,25 +527,10 @@ let mutation_suite =
         check Alcotest.bool "covers sees the new tuple" true
           (Coverage.covers cov p_clause 1);
         (* and deletion flows through too *)
-        ignore (Instance.remove_tuple inst "p" (Tuple.of_list [ c 0; c 1 ]));
+        ignore (Instance.remove inst "p" (Tuple.of_list [ c 0; c 1 ]));
         check Alcotest.(list bool) "after remove" [ false; true ]
           (Array.to_list (Coverage.vector cov p_clause));
         check Alcotest.bool "covers sees the deletion" false
-          (Coverage.covers cov p_clause 0));
-    tc "store-backed coverage refreshes from the live instance too"
-      (fun () ->
-        let inst = Instance.create pq_schema in
-        let c i = Value.str (Printf.sprintf "c%d" i) in
-        Instance.add inst "p" (Tuple.of_list [ c 0; c 1 ]);
-        let examples = [| Atom.of_tuple "t" (Tuple.of_list [ c 1 ]) |] in
-        let cov =
-          Coverage.build ~params:Bottom.default_params
-            ~backend:Backend.Flat inst examples
-        in
-        check Alcotest.bool "uncovered before" false
-          (Coverage.covers cov p_clause 0);
-        Instance.add inst "p" (Tuple.of_list [ c 1; c 2 ]);
-        check Alcotest.bool "covered after the flat-backed refresh" true
           (Coverage.covers cov p_clause 0));
   ]
 

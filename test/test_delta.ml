@@ -1,11 +1,11 @@
 (* The delta-API battery: the explicit mutation surface of Backend
-   (apply / subscribe / generation-from-log) on every substrate, the
+   (apply / subscribe / generation-from-log) on both adapters, the
    incrementally maintained Datalog views, per-store planner
    statistics, and the online coverage path — a
    single-tuple add/remove on a non-target relation must patch the
    coverage structure without a full refresh, and random interleaved
    mutation streams must leave the incremental structure bit-for-bit
-   equal to a from-scratch rebuild on every backend. *)
+   equal to a from-scratch rebuild. *)
 
 open Castor_relational
 open Castor_logic
@@ -14,18 +14,29 @@ open Helpers
 module Obs = Castor_obs.Obs
 module Examples = Castor_ilp.Examples
 
-let specs = [ Backend.Flat; Backend.Columnar ]
-
 let itu a b = Tuple.of_list [ Value.int a; Value.int b ]
 
 (* ---------------- substrate delta units ---------------------------- *)
 
-let substrate_case spec =
+let p_schema =
+  Schema.make
+    [
+      Schema.relation "p"
+        [ Schema.attribute ~domain:"d" "x"; Schema.attribute ~domain:"d" "y" ];
+    ]
+
+(* the two adapters behind the seam, each over a fresh empty p/2 *)
+let substrates =
+  [
+    ("instance", fun () -> Backend.of_instance (Instance.create p_schema));
+    ("columnar", fun () -> Backend.of_columnar (Columnar.create [ ("p", 2) ]));
+  ]
+
+let substrate_case (label, make) =
   tc
-    (Fmt.str "%s: apply logs effective deltas and notifies once"
-       (Backend.spec_to_string spec))
+    (Fmt.str "%s: apply logs effective deltas and notifies once" label)
     (fun () ->
-      let b = Backend.create spec [ ("p", 2) ] in
+      let b = make () in
       let seen = ref [] in
       Backend.subscribe b (fun ds -> seen := !seen @ [ ds ]);
       check Alcotest.int "fresh store at generation 0" 0 (Backend.generation b);
@@ -47,22 +58,31 @@ let substrate_case spec =
       check Alcotest.int "only the effective sub-batch delivered" 2
         (List.length (List.hd !seen));
       let module B = (val b : Backend.S) in
-      (* the singleton forms are [apply] of one delta *)
-      check Alcotest.bool "add of a new tuple" true (B.add "p" (itu 7 8));
-      check Alcotest.bool "re-add is ineffective" false (B.add "p" (itu 7 8));
-      check Alcotest.bool "remove of a stored tuple" true
-        (B.remove "p" (itu 1 2));
-      check Alcotest.bool "re-remove is ineffective" false
-        (B.remove "p" (itu 1 2));
+      (* singleton mutations are [apply] of one delta; effective iff
+         the generation moved *)
+      let single d =
+        let g = Backend.generation b in
+        Backend.apply b [ d ];
+        Backend.generation b > g
+      in
+      let add tu = single (Delta.add "p" tu)
+      and remove tu = single (Delta.remove "p" tu) in
+      let mem tu =
+        B.find_matching "p" (List.mapi (fun i v -> (i, v)) (Array.to_list tu))
+        <> []
+      in
+      check Alcotest.bool "add of a new tuple" true (add (itu 7 8));
+      check Alcotest.bool "re-add is ineffective" false (add (itu 7 8));
+      check Alcotest.bool "remove of a stored tuple" true (remove (itu 1 2));
+      check Alcotest.bool "re-remove is ineffective" false (remove (itu 1 2));
       check Alcotest.int "only effective singletons logged" 4
         (Backend.generation b);
       check Alcotest.int "one notification per effective singleton" 3
         (List.length !seen);
       check Alcotest.bool "store state reflects the log" true
-        (B.mem "p" (itu 5 6) && B.mem "p" (itu 7 8)
-        && not (B.mem "p" (itu 1 2))))
+        (mem (itu 5 6) && mem (itu 7 8) && not (mem (itu 1 2))))
 
-let substrate_suite = List.map substrate_case specs
+let substrate_suite = List.map substrate_case substrates
 
 (* ---------------- incrementally maintained Datalog views ------------ *)
 
@@ -189,28 +209,24 @@ let planner_suite =
             pargs = [| Algebra.Aconst (c 1); Algebra.Avar "B" |];
           }
         in
-        List.iter
-          (fun spec ->
-            (* column 0 is the example id, as in a real example store *)
-            let store rows =
-              let b = Backend.create spec [ ("p", 3) ] in
-              Backend.apply b
-                (List.map
-                   (fun (x, y) ->
-                     Delta.Add ("p", Tuple.of_list [ Value.int 0; c x; c y ]))
-                   rows);
-              b
-            in
-            let spread = store [ (1, 2); (2, 3) ]
-            and skewed = store [ (1, 2); (1, 3) ] in
-            let name = Backend.spec_to_string spec in
-            check Alcotest.int (name ^ ": same generation")
-              (Backend.generation spread) (Backend.generation skewed);
-            check (Alcotest.float 1e-9) (name ^ ": two distinct values") 1.0
-              (Planner.scan_estimate spread pattern);
-            check (Alcotest.float 1e-9) (name ^ ": one distinct value") 2.0
-              (Planner.scan_estimate skewed pattern))
-          specs);
+        (* column 0 is the example id, as in a real example store *)
+        let store rows =
+          let col = Columnar.create [ ("p", 3) ] in
+          Columnar.apply col
+            (List.map
+               (fun (x, y) ->
+                 Delta.Add ("p", Tuple.of_list [ Value.int 0; c x; c y ]))
+               rows);
+          col
+        in
+        let spread = store [ (1, 2); (2, 3) ]
+        and skewed = store [ (1, 2); (1, 3) ] in
+        check Alcotest.int "same generation" (Columnar.generation spread)
+          (Columnar.generation skewed);
+        check (Alcotest.float 1e-9) "two distinct values" 1.0
+          (Planner.scan_estimate spread pattern);
+        check (Alcotest.float 1e-9) "one distinct value" 2.0
+          (Planner.scan_estimate skewed pattern));
   ]
 
 (* ---------------- online coverage: the acceptance path -------------- *)
@@ -276,12 +292,12 @@ let online_suite =
 (* The tentpole's pin: after an interleaved add/remove stream through
    the delta API, the incrementally maintained structure answers every
    candidate exactly like a from-scratch rebuild of the mutated
-   instance — on every backend, with zero full refreshes. *)
-let differential backend seed ~interleave =
+   instance, with zero full refreshes. *)
+let differential seed ~interleave =
   let params = Bottom.default_params in
   let inst, examples = random_problem seed in
   let ex_t = Examples.make ~pos:(Array.to_list examples) ~neg:[] in
-  let cov = Coverage.build ~params ~backend inst examples in
+  let cov = Coverage.build ~params inst examples in
   let cands = candidates inst params examples 3 in
   (* warm the memo so the stream also exercises lazy patching *)
   List.iter (fun cl -> ignore (Coverage.vector cov cl)) cands;
@@ -297,7 +313,7 @@ let differential backend seed ~interleave =
           ignore (Coverage.vector cov (List.nth cands (i mod List.length cands))))
       stream
   else Backend.apply b stream;
-  let fresh = Coverage.build ~params ~backend inst examples in
+  let fresh = Coverage.build ~params inst examples in
   Obs.Counter.value Coverage.c_full_refreshes = full0
   && List.for_all
        (fun cl ->
@@ -309,16 +325,10 @@ let stream_suite =
   [
     qt ~count:12 "batched mutation stream: incremental == rebuilt, no full refresh"
       QCheck2.Gen.(int_bound 10_000)
-      (fun seed ->
-        List.for_all
-          (fun backend -> differential backend seed ~interleave:false)
-          specs);
+      (fun seed -> differential seed ~interleave:false);
     qt ~count:12 "interleaved mutation stream: incremental == rebuilt, no full refresh"
       QCheck2.Gen.(int_bound 10_000)
-      (fun seed ->
-        List.for_all
-          (fun backend -> differential backend seed ~interleave:true)
-          specs);
+      (fun seed -> differential seed ~interleave:true);
   ]
 
 let suite =

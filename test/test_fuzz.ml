@@ -57,7 +57,7 @@ let pipeline_suite =
     zero_config "hiv" (fun () -> Hiv.generate ());
   ]
 
-(* ------------- divergence, shrinking, backend sweeps -------------- *)
+(* ------------------- divergence and shrinking --------------------- *)
 
 let divergence_suite =
   [
@@ -101,23 +101,6 @@ let divergence_suite =
               (contains ~sub:(Printf.sprintf "\"seed\":%d" seed) doc);
             check Alcotest.bool "report carries the counterexample" true
               (contains ~sub:"\"counterexamples\":[{" doc));
-    tc "family: storage backend never changes any learner's output" (fun () ->
-        let config =
-          {
-            Fuzz.default_config with
-            Fuzz.seed;
-            budget = 2;
-            learners = [ "castor"; "foil" ];
-            backends = [ Some Backend.Flat; Some Backend.Columnar ];
-            shrink = false;
-          }
-        in
-        let report = Fuzz.run ~config (Family.generate ()) in
-        check
-          Alcotest.(list (pair string string))
-          "no backend mismatches" [] report.Fuzz.rp_backend_mismatches;
-        check Alcotest.bool "both backends swept" true
-          (List.length report.Fuzz.rp_verdicts = 4));
   ]
 
 (* ------------- generator: determinism and consistency ------------- *)

@@ -222,34 +222,23 @@ let registry_suite =
           "registry == direct"
           (List.map Clause.to_string def'.Clause.clauses)
           (List.map Clause.to_string def.Clause.clauses));
-    tc "config.backend re-bases the run without changing the result"
+    tc "Castor learns the same UW-CSE clauses with the coverage kernel on and off"
       (fun () ->
-        let p = problem () in
-        let on backend =
-          let r =
-            Learner.learn ~name:"foil"
-              ~config:{ Learner.default_config with Learner.backend }
-              p
-          in
-          List.map Clause.to_string r.Learner.Report.definition.Clause.clauses
-        in
-        let base = on None in
-        check Alcotest.(list string) "flat instance" base
-          (on (Some Castor_relational.Backend.Flat)));
-    tc "Castor learns the same UW-CSE clauses on every backend" (fun () ->
         let module Experiment = Castor_eval.Experiment in
         let ds = Castor_datasets.Uwcse.generate () in
         List.iter
           (fun (vname, _) ->
-            let learn backend =
-              let prep = Experiment.prepare ?backend ds vname in
+            let learn batch =
+              let prep = Experiment.prepare ds vname in
+              Coverage.set_batch prep.Experiment.all_pos batch;
+              Coverage.set_batch prep.Experiment.all_neg batch;
               let def = Experiment.train_full prep (Castor_eval.Algos.castor ()) in
               List.map Clause.to_string def.Clause.clauses
             in
-            let base = learn None in
+            let base = learn true in
             check Alcotest.bool (vname ^ ": learned something") true (base <> []);
-            check Alcotest.(list string) (vname ^ ": flat") base
-              (learn (Some Backend.Flat)))
+            check Alcotest.(list string) (vname ^ ": subsumption only") base
+              (learn false))
           ds.Castor_datasets.Dataset.variants);
   ]
 

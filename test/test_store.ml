@@ -40,9 +40,9 @@ let instance_suite =
         let inst = Instance.create abc_schema in
         let t1 = Tuple.of_list [ v 0; v 1; v 2 ] in
         let t2 = Tuple.of_list [ v 0; v 3; v 2 ] in
-        Instance.add_tuple inst "r" t1;
-        Instance.add_tuple inst "r" t2;
-        check Alcotest.bool "removed" true (Instance.remove_tuple inst "r" t1);
+        Instance.add inst "r" t1;
+        Instance.add inst "r" t2;
+        check Alcotest.bool "removed" true (Instance.remove inst "r" t1);
         (* all three columns of t1 must be gone from the index; t2 stays *)
         check Alcotest.int "col0 keeps t2" 1
           (List.length (Instance.find inst "r" 0 (v 0)));
@@ -54,7 +54,7 @@ let instance_suite =
     tc "Instance.remove of an absent tuple is a no-op" (fun () ->
         let inst = Instance.create abc_schema in
         let t1 = Tuple.of_list [ v 0; v 1; v 2 ] in
-        check Alcotest.bool "absent" false (Instance.remove_tuple inst "r" t1);
+        check Alcotest.bool "absent" false (Instance.remove inst "r" t1);
         check Alcotest.bool "consistent" true (Instance.index_consistent inst));
     qt ~count:200 "random add/remove interleaving == from-scratch rebuild"
       ops_gen
@@ -62,59 +62,15 @@ let instance_suite =
         let inst = Instance.create abc_schema in
         List.iter
           (fun (add, tu) ->
-            if add then Instance.add_tuple inst "r" tu
-            else ignore (Instance.remove_tuple inst "r" tu))
+            if add then Instance.add inst "r" tu
+            else ignore (Instance.remove inst "r" tu))
           ops;
         let model = Tuple.Set.elements (replay_model ops) in
         Instance.index_consistent inst
         && List.equal Tuple.equal (sorted (Instance.tuples inst "r")) (sorted model));
   ]
 
-(* -------- Backend.spec: the string form carried by CLI flags ------- *)
-
-let spec_suite =
-  [
-    tc "Backend.spec_of_string parses every documented form" (fun () ->
-        let parses s expect =
-          check Alcotest.bool s true (Backend.spec_of_string s = expect)
-        in
-        parses "instance" Backend.Flat;
-        parses "flat" Backend.Flat;
-        (* whitespace and case are forgiven: these arrive from shells *)
-        parses "  Instance " Backend.Flat;
-        parses "FLAT" Backend.Flat;
-        parses "columnar" Backend.Columnar;
-        parses "column" Backend.Columnar;
-        parses " Columnar " Backend.Columnar);
-    tc "Backend.spec_to_string round-trips through spec_of_string" (fun () ->
-        List.iter
-          (fun spec ->
-            let s = Backend.spec_to_string spec in
-            check Alcotest.bool (s ^ " round-trips") true
-              (Backend.spec_of_string s = spec))
-          [ Backend.Flat; Backend.Columnar; Backend.default_spec ]);
-    tc "Backend.spec_of_string rejects malformed specs" (fun () ->
-        List.iter
-          (fun s ->
-            match Backend.spec_of_string s with
-            | exception Invalid_argument _ -> ()
-            | _ -> Alcotest.fail (Printf.sprintf "%S should be rejected" s))
-          [
-            "store"; "store:4"; "store:0"; "store:-3"; "store:x"; "store:";
-            "shard:2"; "postgres"; "";
-          ]);
-  ]
-
-(* -------- Columnar backend: planner statistics and interning ------- *)
-
-let all_specs = [ Backend.Flat; Backend.Columnar ]
-
-let apply_ops (backend : Backend.t) ops =
-  let module B = (val backend) in
-  List.iter
-    (fun (add, tu) ->
-      if add then ignore (B.add "r" tu) else ignore (B.remove "r" tu))
-    ops
+(* -------- Columnar engine: planner statistics and interning ------- *)
 
 let model_distinct model pos =
   List.length
@@ -123,49 +79,45 @@ let model_distinct model pos =
 
 let columnar_suite =
   [
-    qt ~count:200 "cardinality and distinct_count agree across all backends"
+    qt ~count:200 "cardinality and distinct_count agree with the replayed model"
       ops_gen
       (fun ops ->
-        let backends =
-          List.map (fun spec -> Backend.create spec [ ("r", 3) ]) all_specs
-        in
-        List.iter (fun b -> apply_ops b ops) backends;
+        let col = Columnar.create [ ("r", 3) ] in
+        List.iter
+          (fun (add, tu) ->
+            if add then ignore (Columnar.add col "r" tu)
+            else ignore (Columnar.remove col "r" tu))
+          ops;
         let model = Tuple.Set.elements (replay_model ops) in
-        List.for_all
-          (fun b ->
-            let module B = (val b : Backend.S) in
-            B.cardinality "r" = List.length model
-            && List.for_all
-                 (fun pos -> B.distinct_count "r" pos = model_distinct model pos)
-                 [ 0; 1; 2 ])
-          backends);
+        Columnar.cardinality col "r" = List.length model
+        && List.for_all
+             (fun pos ->
+               Columnar.distinct_count col "r" pos = model_distinct model pos)
+             [ 0; 1; 2 ]);
     qt ~count:100
-      "statistics stay exact after every mutation (memo invalidation)" ops_gen
+      "statistics stay exact after every mutation (posting-list upkeep)" ops_gen
       (fun ops ->
-        (* probe the statistics after *each* op: a stale per-generation
-           memo (the distinct_count caches) or stale posting lists would
-           surface as a disagreement with the replayed model mid-way *)
+        (* probe the statistics after *each* op: stale posting lists or
+           distinct counters would surface as a disagreement with the
+           replayed model mid-way *)
+        let col = Columnar.create [ ("r", 3) ] in
+        let model = ref Tuple.Set.empty in
         List.for_all
-          (fun b ->
-            let module B = (val b : Backend.S) in
-            let model = ref Tuple.Set.empty in
-            List.for_all
-              (fun (add, tu) ->
-                if add then begin
-                  ignore (B.add "r" tu);
-                  model := Tuple.Set.add tu !model
-                end
-                else begin
-                  ignore (B.remove "r" tu);
-                  model := Tuple.Set.remove tu !model
-                end;
-                let m = Tuple.Set.elements !model in
-                B.cardinality "r" = List.length m
-                && List.for_all
-                     (fun pos -> B.distinct_count "r" pos = model_distinct m pos)
-                     [ 0; 1; 2 ])
-              ops)
-          (List.map (fun spec -> Backend.create spec [ ("r", 3) ]) all_specs));
+          (fun (add, tu) ->
+            if add then begin
+              ignore (Columnar.add col "r" tu);
+              model := Tuple.Set.add tu !model
+            end
+            else begin
+              ignore (Columnar.remove col "r" tu);
+              model := Tuple.Set.remove tu !model
+            end;
+            let m = Tuple.Set.elements !model in
+            Columnar.cardinality col "r" = List.length m
+            && List.for_all
+                 (fun pos -> Columnar.distinct_count col "r" pos = model_distinct m pos)
+                 [ 0; 1; 2 ])
+          ops);
     qt ~count:200 "intern dictionary round-trips and survives removals" ops_gen
       (fun ops ->
         let c = Columnar.create [ ("r", 3) ] in
@@ -259,4 +211,4 @@ let columnar_suite =
         && Obs.Counter.value Columnar.c_compactions > compactions0);
   ]
 
-let suite = instance_suite @ spec_suite @ columnar_suite
+let suite = instance_suite @ columnar_suite
