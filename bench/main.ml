@@ -672,10 +672,9 @@ let micro () =
                cov.Castor_ilp.Coverage.examples.(0)));
       Test.make ~name:"minimize(absorbed)"
         (Staged.stage (fun () -> Minimize.reduce_absorbed bc0));
-      (* coverage-cache keying: the structural key vs the pretty-print
-         it replaced *)
-      Test.make ~name:"canonical-key"
-        (Staged.stage (fun () -> Clause.canonical_key bc0));
+      (* coverage-memo keying: the variant key vs the pretty-print *)
+      Test.make ~name:"variant-key"
+        (Staged.stage (fun () -> Clause.variant_key bc0));
       Test.make ~name:"clause-to-string"
         (Staged.stage (fun () -> Clause.to_string bc0));
     ]

@@ -12,6 +12,18 @@
     goes through {!Coverage.covers}, whose {!Planner} picks the
     cheaper of the semi-join kernel and subsumption per prefix.
 
+    The search is warm-started. It ends with [prefix(b)] covering,
+    where [b] is the blocking atom's index. The [repair] hook and
+    {!Clause.head_connected} then only drop literals, so the leading
+    literals of the new body that survive from the old [[0,b)] form a
+    sub-body of that covering prefix, and they still cover. The next
+    search starts from their count instead of 0; by antitonicity it
+    finds the same blocking atom with fewer tests. When every survivor
+    comes from [[0,b)], the whole clause covers and the loop ends
+    without a test. Survivors are matched by physical identity, in
+    order: a hook that rebuilds or reorders literals only shortens the
+    warm start, down to 0.
+
     The [repair] hook runs right after each blocking-atom removal;
     Castor passes the IND-enforcement step of Section 7.2.1 and plain
     ProGolem passes the identity. *)
@@ -24,10 +36,20 @@ let span_generalize = Obs.Span.create "ilp.armg.generalize"
 let prefix_clause (c : Clause.t) k =
   { c with Clause.body = List.filteri (fun i _ -> i < k) c.Clause.body }
 
+(* Length of the longest prefix of [body] whose literals occur, in
+   order and physically, in [old]. *)
+let rec surviving_prefix old body =
+  match (old, body) with
+  | o :: old', b :: body' ->
+      if o == b then 1 + surviving_prefix old' body'
+      else surviving_prefix old' body
+  | [], _ | _, [] -> 0
+
 (** [generalize ?repair cov c i] computes armg(C, e_i) where [e_i] is
     the [i]-th example of [cov]. Returns [None] when even the bare
     head fails to cover [e_i] (then no generalization of [C] along
-    this example exists). *)
+    this example exists). [repair] must keep the head; the warm start
+    relies on it. *)
 let generalize ?(repair = fun c -> c) (cov : Coverage.t) (c : Clause.t) i =
   Obs.Span.with_span span_generalize @@ fun () ->
   Obs.Counter.incr Stats.c_armg_calls;
@@ -35,22 +57,27 @@ let generalize ?(repair = fun c -> c) (cov : Coverage.t) (c : Clause.t) i =
   if not (covers_prefix c 0) then None
   else
     let current = ref c in
+    (* length of a prefix of [!current] known to cover *)
+    let covered = ref 0 in
     let continue = ref true in
     while !continue do
       let n = Clause.length !current in
-      if covers_prefix !current n then continue := false
+      if !covered = n || covers_prefix !current n then continue := false
       else begin
-        (* least k in [1..n] with prefix(k) failing; prefix(0) covers *)
-        let lo = ref 0 and hi = ref n in
+        (* least k in [covered+1..n] with prefix(k) failing *)
+        let lo = ref !covered and hi = ref n in
         while !hi - !lo > 1 do
           let mid = (!lo + !hi) / 2 in
           if covers_prefix !current mid then lo := mid else hi := mid
         done;
         let blocking = !hi - 1 in
         Obs.Counter.incr Stats.c_blocking_removals;
-        let body = List.filteri (fun j _ -> j <> blocking) !current.Clause.body in
+        let old = !current.Clause.body in
+        let body = List.filteri (fun j _ -> j <> blocking) old in
         current := Clause.head_connected (repair { !current with Clause.body = body });
-        if Clause.length !current = 0 then continue := false
+        covered :=
+          surviving_prefix (List.filteri (fun j _ -> j < blocking) old)
+            !current.Clause.body
       end
     done;
     Some !current

@@ -16,13 +16,14 @@
     to the cost-based {!Planner}.
 
     Two optimizations from the paper are implemented here: a
-    memoization table keyed by {!Clause.canonical_key} — a structural,
-    variable-normalized key, so α-equivalent clauses produced by
-    different ARMG paths share one entry — and the generality
-    shortcut: when testing a clause known to be more general than a
-    previously tested one, the examples already covered need not be
-    re-tested. Coverage tests can also be fanned out over domains
-    ({!Parallel}).
+    memoization table keyed by {!Clause.variant_key} — a one-pass
+    rendering under first-occurrence variable names, so a clause that
+    comes back under other variable names shares one entry — and the
+    generality shortcut: when testing a clause known to be more
+    general than a previously tested one, the examples already covered
+    need not be re-tested. The key is kept cheap on purpose: most lookups come
+    from ARMG's prefix probes ({!covers}), which almost never hit.
+    Coverage tests can also be fanned out over domains ({!Parallel}).
 
     {2 Online updates}
 
@@ -55,6 +56,10 @@ type t = {
   mutable bottoms : Clause.t array;
       (** ground bottom clause per example; patched (affected examples
           only) or rebuilt by {!refresh} when the source mutates *)
+  mutable avg_bottom_len : float;
+      (** mean atom count (head included) of [bottoms], the planner's
+          subsumption-cost input; recomputed whenever [bottoms]
+          changes, not on every decision *)
   max_steps : int;
   cache : (string, entry) Hashtbl.t;
   mutable cache_enabled : bool;
@@ -96,16 +101,17 @@ type t = {
       (** generation below which the retained [dirty_log] no longer
           covers history; entries with [egen < log_floor] cannot be
           patched and are recomputed in full *)
-  decomps : (string, string * Hypergraph.decomposition) Hashtbl.t;
-      (** hypertree decompositions memoized per clause canonical key,
-          next to the coverage memo; the value carries the
-          order-sensitive variable signature the entry was built from
-          (see {!Hypergraph.signature}) because the canonical key
-          sorts body literals — an α-equivalent clause presenting its
-          literals in a different order must not reuse positional bag
-          indexes. Decompositions depend only on clause structure,
-          never on data, so entries are never invalidated; [sub]
-          shares the table. Main-thread only, like [cache]. *)
+  decomps : (string, Hypergraph.decomposition) Hashtbl.t;
+      (** hypertree decompositions memoized by the pattern
+          hypergraph's {!Hypergraph.signature} — order-sensitive and
+          free of variable names, and a decomposition is a function of
+          it, so every clause with the same join shape shares one
+          entry. An entry's [bag_vars] carry the variable names of the
+          clause that first built it; the planner and the kernel read
+          only [bags], [forest] and [width], which are positional.
+          Decompositions depend only on clause structure, never on
+          data, so entries are never invalidated; [sub] shares the
+          table. Main-thread only, like [cache]. *)
 }
 
 (* A saturation fact as stored in the example store: column 0 carries
@@ -156,6 +162,16 @@ let saturate_all ?expand ~params ~backend inst examples =
     (fun e -> Bottom.saturation ?expand ~backend ~params inst e)
     examples
 
+let mean_bottom_len (bottoms : Clause.t array) =
+  let n = Array.length bottoms in
+  if n = 0 then 0.
+  else
+    float_of_int
+      (Array.fold_left
+         (fun acc (c : Clause.t) -> acc + 1 + List.length c.Clause.body)
+         0 bottoms)
+    /. float_of_int n
+
 (** [build ?expand ~params ~max_steps inst examples] precomputes the
     saturations of [examples] over a columnar snapshot of [inst] and
     loads them into the example store the batched coverage kernel runs
@@ -172,6 +188,7 @@ let build ?expand ~params ?(max_steps = 250_000) inst
   {
     examples;
     bottoms;
+    avg_bottom_len = mean_bottom_len bottoms;
     max_steps;
     cache = Hashtbl.create 256;
     cache_enabled = true;
@@ -204,10 +221,10 @@ let span_covers = Obs.Span.create "ilp.coverage.covers"
     diagnosis in the benches. *)
 let slow_vectors = Obs.Reservoir.create ~capacity:40 "ilp.coverage.slow_vectors"
 
-(* The structural-key cache, made visible: [key_builds] is how often
-   the canonical key is computed (its cost used to hide inside
-   [Clause.to_string]); hits land in {!Stats.c_cache_hits}, misses
-   here, so hit rate is derivable from any metrics dump. *)
+(* The memo, made visible: [key_builds] is how often a clause's
+   {!Clause.variant_key} is computed (once per [vector] and [covers]
+   call); hits land in {!Stats.c_cache_hits}, misses here, so hit rate
+   is derivable from any metrics dump. *)
 let c_key_builds = Obs.Counter.create "ilp.coverage.key_builds"
 
 let c_cache_misses = Obs.Counter.create "ilp.coverage.cache_misses"
@@ -234,7 +251,7 @@ let c_cache_patches = Obs.Counter.create "ilp.coverage.cache_patches"
 
 let cache_key clause =
   Obs.Counter.incr c_key_builds;
-  Clause.canonical_key clause
+  Clause.variant_key clause
 
 (* How many incremental-refresh history entries are retained for lazy
    cache patching; a vector untouched for longer is recomputed. *)
@@ -250,6 +267,7 @@ let full_refresh t gen =
   t.bottoms <-
     saturate_all ?expand:t.expand ~params:t.params ~backend:data t.inst
       t.examples;
+  t.avg_bottom_len <- mean_bottom_len t.bottoms;
   t.ex_store <- example_store t.inst t.examples t.bottoms;
   t.eids <- Array.init (Array.length t.examples) Fun.id;
   Hashtbl.reset t.cache;
@@ -327,6 +345,7 @@ let incremental_refresh t ds gen =
       patch_ex_store t i old_b new_b)
     affected;
   if Array.length affected > 0 then begin
+    t.avg_bottom_len <- mean_bottom_len t.bottoms;
     t.dirty_log <- (gen, affected) :: t.dirty_log;
     (* bound the history; vectors older than the retained window are
        recomputed instead of patched *)
@@ -378,9 +397,11 @@ let refresh t =
 let sub t idxs =
   let pending = ref !(t.pending) in
   Backend.subscribe t.source (fun ds -> pending := List.rev_append ds !pending);
+  let bottoms = Array.map (fun i -> t.bottoms.(i)) idxs in
   {
     examples = Array.map (fun i -> t.examples.(i)) idxs;
-    bottoms = Array.map (fun i -> t.bottoms.(i)) idxs;
+    bottoms;
+    avg_bottom_len = mean_bottom_len bottoms;
     max_steps = t.max_steps;
     cache = Hashtbl.create 64;
     cache_enabled = t.cache_enabled;
@@ -432,43 +453,29 @@ let note_plan_reason (d : Planner.decision) =
   | Planner.Cost -> Obs.Counter.incr c_batch_eligible
   | Planner.No_store | Planner.Disabled -> ()
 
-(** Decomposition-memo hits: a planner probe of an α-equivalent
-    candidate served without rebuilding the hypertree decomposition. *)
+(** Decomposition-memo hits: a planner probe whose pattern hypergraph
+    has the signature of one decomposed before — the same clause, or
+    any other with the same join shape in the same literal order —
+    served without rebuilding the hypertree decomposition. *)
 let c_decomp_hits = Obs.Counter.create "ilp.coverage.decomp_memo_hits"
 
-(* Decomposition through the per-canonical-key memo. The entry stores
-   the order-sensitive variable signature it was computed from: the
-   canonical key sorts body literals, so an α-equivalent clause whose
-   literals arrive in a different order would make the memoized
-   positional bag indexes meaningless — such an entry is transparently
-   recomputed and replaced. Entries depend only on clause structure
-   (never on data), so no invalidation on refresh or re-base. *)
-let memo_decompose t key sorts =
+(* Decomposition through the signature-keyed memo (see [decomps]). *)
+let memo_decompose t sorts =
   let vsig = Hypergraph.signature sorts in
-  match Hashtbl.find_opt t.decomps key with
-  | Some (s, d) when String.equal s vsig ->
+  match Hashtbl.find_opt t.decomps vsig with
+  | Some d ->
       Obs.Counter.incr c_decomp_hits;
       d
-  | _ ->
+  | None ->
       let d = Hypergraph.decompose sorts in
-      Hashtbl.replace t.decomps key (vsig, d);
+      Hashtbl.replace t.decomps vsig d;
       d
 
-let avg_bottom_len t =
-  let n = Array.length t.bottoms in
-  if n = 0 then 0.
-  else
-    float_of_int
-      (Array.fold_left
-         (fun acc (c : Clause.t) -> acc + 1 + List.length c.Clause.body)
-         0 t.bottoms)
-    /. float_of_int n
-
-let plan t ~key ~n_undecided clause =
+let plan t ~n_undecided clause =
   let d =
     Planner.choose ~batch_enabled:t.batch_enabled ~ex_store:t.ex_store
-      ~n_undecided ~avg_bottom_len:(avg_bottom_len t)
-      ~decompose:(memo_decompose t key) clause
+      ~n_undecided ~avg_bottom_len:t.avg_bottom_len
+      ~decompose:(memo_decompose t) clause
   in
   note_plan_reason d;
   d
@@ -505,15 +512,12 @@ let subsumes_noted ~max_steps (bottoms : Clause.t array) clause i =
 
 (* Coverage bits of [clause] at exactly the given local positions —
    the planner dispatches, the workload is the positions array. Both
-   the vector miss path and lazy cache patching funnel through here.
-   [key] is the clause's canonical key, already computed by every
-   caller; it addresses the decomposition memo. *)
-let compute_positions t ~key clause (positions : int array) =
+   the vector miss path and lazy cache patching funnel through here. *)
+let compute_positions t clause (positions : int array) =
   if Array.length positions = 0 then [||]
   else
     match
-      (plan t ~key ~n_undecided:(Array.length positions) clause)
-        .Planner.strategy
+      (plan t ~n_undecided:(Array.length positions) clause).Planner.strategy
     with
     | Planner.Semijoin (patterns, decomp) ->
         run_semijoin t patterns decomp positions
@@ -552,7 +556,7 @@ let cached_vector t clause key =
     | Some e when e.egen = t.src_gen -> Some e.ev
     | Some e when e.egen >= t.log_floor ->
         let dirty = dirty_since t e.egen in
-        let bits = compute_positions t ~key clause dirty in
+        let bits = compute_positions t clause dirty in
         Array.iteri (fun j pos -> e.ev.(pos) <- bits.(j)) dirty;
         e.egen <- t.src_gen;
         Obs.Counter.incr c_cache_patches;
@@ -560,11 +564,15 @@ let cached_vector t clause key =
     | Some _ -> None
 
 (** [covers t clause i] tests coverage of the [i]-th example alone. A
-    full vector cached for the same (α-equivalent) clause answers
-    without any test; otherwise the planner picks between a
+    full vector cached for the same clause (up to variable renaming)
+    answers without any test; otherwise the planner picks between a
     single-example kernel run and one subsumption search — for one
     undecided example the cost model almost always prefers the
-    latter. *)
+    latter. Nearly every call comes from ARMG's prefix probes, and a
+    prefix is seldom scored as a full vector first, so the lookup
+    almost never hits (a handful in thousands of calls on the learn
+    benchmark workloads): the key it builds must stay one cheap
+    pass. *)
 let covers t clause i =
   Obs.Span.with_span span_covers @@ fun () ->
   refresh t;
@@ -575,7 +583,7 @@ let covers t clause i =
       Planner.note_cached ();
       v.(i)
   | None -> (
-      match (plan t ~key ~n_undecided:1 clause).Planner.strategy with
+      match (plan t ~n_undecided:1 clause).Planner.strategy with
       | Planner.Semijoin (patterns, decomp) ->
           (run_semijoin t patterns decomp [| i |]).(0)
       | Planner.Subsumption ->
@@ -622,7 +630,7 @@ let vector ?assume ?within t clause =
       let positions =
         Array.of_list (List.filter undecided (List.init n Fun.id))
       in
-      let bits = compute_positions t ~key clause positions in
+      let bits = compute_positions t clause positions in
       let v =
         Array.init n (fun i ->
             match within with

@@ -87,7 +87,7 @@ let closed_world_negatives ~seed ?(ratio = 2) inst
   else begin
     let is_pos a = Array.exists (Atom.equal a) pos in
     let out = ref [] in
-    let seen = Hashtbl.create 64 in
+    let seen = ref Atom.Set.empty in
     let want = ratio * Array.length pos in
     let attempts = ref 0 in
     while List.length !out < want && !attempts < 100 * want do
@@ -98,9 +98,8 @@ let closed_world_negatives ~seed ?(ratio = 2) inst
           pools
       in
       let a = Atom.make target.Schema.rname args in
-      let key = Atom.to_string a in
-      if (not (Hashtbl.mem seen key)) && not (is_pos a) then begin
-        Hashtbl.replace seen key ();
+      if (not (Atom.Set.mem a !seen)) && not (is_pos a) then begin
+        seen := Atom.Set.add a !seen;
         out := a :: !out
       end
     done;

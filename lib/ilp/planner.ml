@@ -172,7 +172,7 @@ let record decision =
     still-undecided examples. [ex_store] is the columnar
     example-saturation store the kernel would run on ([None] disables
     it); statistics are read from it. [decompose] builds (or serves from a memo —
-    {!Coverage} passes its per-canonical-key cache) the generalized
+    {!Coverage} passes its signature-keyed cache) the generalized
     hypertree decomposition of the clause's pattern hypergraph. The
     decision is recorded under [ilp.planner.*]. *)
 let choose ~batch_enabled ~(ex_store : Columnar.t option) ~n_undecided

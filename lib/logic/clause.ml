@@ -122,147 +122,79 @@ let rename_apart suffix c =
   let conv (a : Atom.t) = { a with Atom.args = Array.map ren a.Atom.args } in
   { head = conv c.head; body = List.map conv c.body }
 
-(** Removes duplicate body literals, keeping first occurrences. *)
+(** Removes duplicate body literals, keeping first occurrences.
+    Literals are compared structurally ({!Atom.equal}), so a variable
+    and a string constant of the same spelling, or [5] and ["5"], stay
+    apart. *)
 let dedup_body c =
-  let seen = Hashtbl.create 16 in
+  let seen = ref Atom.Set.empty in
   let body =
     List.filter
       (fun a ->
-        let k = Atom.to_string a in
-        if Hashtbl.mem seen k then false
+        if Atom.Set.mem a !seen then false
         else begin
-          Hashtbl.add seen k ();
+          seen := Atom.Set.add a !seen;
           true
         end)
       c.body
   in
   { c with body }
 
-(** [canonical_key c] is a structural cache key: clauses equal up to
-    variable renaming and body-literal reordering (α-equivalent as
-    ordered-clause sets, hence with identical coverage) map to the
-    same key, and equal keys imply such equivalence — the key is a
-    faithful rendering of the clause under a canonical variable
-    naming, so a coverage cache keyed by it is sound.
-
-    Construction: variables are colored by a few rounds of
-    Weisfeiler-Leman-style refinement over their occurrence structure
-    (relation, head/body, argument position, colors of co-occurring
-    variables), body literals are sorted by their colored signature,
-    canonical names [_0, _1, ...] are assigned in first-occurrence
-    order over the sorted clause, and the rendered body literals are
-    sorted once more so automorphic literal groups render identically
-    regardless of input order. Built with a buffer — cheaper than the
-    boxed pretty-printer behind {!to_string}. *)
-let canonical_key (c : t) =
+(** [variant_key c] is the coverage-memo key: two clauses get equal
+    keys exactly when they are equal up to a renaming of variables —
+    same head, same body literals in the same order. Variables are
+    renamed [_0, _1, ...] in order of first occurrence (head, then
+    body in clause order); integer constants render as [#n] and string
+    constants quoted and escaped, so no constant can alias a variable
+    or a constant of the other kind; a relation name containing ['(']
+    or ['"'] is quoted too. Every field is self-delimiting, so the
+    rendering is injective, and a memo keyed by it is sound. Body
+    order is part of the key: a permuted clause is θ-equivalent but
+    keys apart, which costs a memo hit, never a wrong answer. One
+    buffer pass: no sorting and no refinement rounds. *)
+let variant_key (c : t) =
   let module Value = Castor_relational.Value in
-  let atoms = Array.of_list (c.head :: c.body) in
-  let n_atoms = Array.length atoms in
-  (* dense variable ids, in order of first occurrence *)
-  let var_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let id_of v =
-    match Hashtbl.find_opt var_ids v with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length var_ids in
-        Hashtbl.add var_ids v i;
-        i
+  let buf = Buffer.create 128 in
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let add_quoted s =
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
   in
-  let args =
-    Array.map
-      (fun (a : Atom.t) ->
-        Array.map
-          (function
-            | Term.Var v -> Either.Left (id_of v)
-            | Term.Const k -> Either.Right (Value.to_string k))
-          a.Atom.args)
-      atoms
-  in
-  let n_vars = Hashtbl.length var_ids in
-  let colors = Array.make n_vars 0 in
-  (* occurrences.(v) = (atom index, position) list *)
-  let occurrences = Array.make n_vars [] in
-  Array.iteri
-    (fun ai row ->
-      Array.iteri
-        (fun pos -> function
-          | Either.Left v -> occurrences.(v) <- (ai, pos) :: occurrences.(v)
-          | Either.Right _ -> ())
-        row)
-    args;
-  let atom_sig ai =
-    Hashtbl.hash
-      ( atoms.(ai).Atom.rel,
-        ai = 0,
-        Array.map
-          (function
-            | Either.Left v -> Either.Left colors.(v)
-            | Either.Right _ as k -> k)
-          args.(ai) )
-  in
-  (* refinement rounds; three suffice for the clause sizes the
-     learners build, and more rounds only cost completeness, never
-     soundness *)
-  for _round = 1 to 3 do
-    let next =
-      Array.mapi
-        (fun v _ ->
-          Hashtbl.hash
-            (List.sort compare
-               (List.map (fun (ai, pos) -> (atom_sig ai, pos)) occurrences.(v))))
-        colors
-    in
-    Array.blit next 0 colors 0 n_vars
-  done;
-  (* sort body atom indices by colored signature *)
-  let sig_key ai =
-    ( atoms.(ai).Atom.rel,
-      Array.to_list
-        (Array.map
-           (function
-             | Either.Left v -> "v:" ^ string_of_int colors.(v)
-             | Either.Right k -> "c:" ^ k)
-           args.(ai)) )
-  in
-  let body_order = Array.init (n_atoms - 1) (fun i -> i + 1) in
-  Array.sort (fun a b -> compare (sig_key a) (sig_key b)) body_order;
-  (* canonical names in first-occurrence order: head first, then the
-     sorted body *)
-  let names = Array.make n_vars (-1) in
-  let next_name = ref 0 in
-  let name_row ai =
-    Array.iter
-      (function
-        | Either.Left v ->
-            if names.(v) < 0 then begin
-              names.(v) <- !next_name;
-              incr next_name
-            end
-        | Either.Right _ -> ())
-      args.(ai)
-  in
-  name_row 0;
-  Array.iter name_row body_order;
-  let render ai =
-    let buf = Buffer.create 32 in
-    Buffer.add_string buf atoms.(ai).Atom.rel;
+  let add_atom (a : Atom.t) =
+    if String.contains a.Atom.rel '(' || String.contains a.Atom.rel '"' then
+      add_quoted a.Atom.rel
+    else Buffer.add_string buf a.Atom.rel;
     Buffer.add_char buf '(';
     Array.iteri
       (fun pos arg ->
         if pos > 0 then Buffer.add_char buf ',';
         match arg with
-        | Either.Left v ->
+        | Term.Var v ->
+            let id =
+              match Hashtbl.find_opt ids v with
+              | Some i -> i
+              | None ->
+                  let i = Hashtbl.length ids in
+                  Hashtbl.add ids v i;
+                  i
+            in
             Buffer.add_char buf '_';
-            Buffer.add_string buf (string_of_int names.(v))
-        | Either.Right k -> Buffer.add_string buf k)
-      args.(ai);
-    Buffer.add_char buf ')';
-    Buffer.contents buf
+            Buffer.add_string buf (string_of_int id)
+        | Term.Const (Value.Int n) ->
+            Buffer.add_char buf '#';
+            Buffer.add_string buf (string_of_int n)
+        | Term.Const (Value.Str s) -> add_quoted s)
+      a.Atom.args;
+    Buffer.add_char buf ')'
   in
-  let rendered_body =
-    List.sort String.compare (List.map render (Array.to_list body_order))
-  in
-  String.concat "|" (render 0 :: rendered_body)
+  add_atom c.head;
+  List.iter
+    (fun a ->
+      Buffer.add_char buf '|';
+      add_atom a)
+    c.body;
+  Buffer.contents buf
 
 let pp ppf c =
   if c.body = [] then Fmt.pf ppf "%a." Atom.pp c.head

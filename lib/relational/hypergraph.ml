@@ -180,11 +180,9 @@ let is_acyclic (sorts : string list list) = join_forest sorts <> None
     the hyperedges with attribute names normalized away
     (first-occurrence numbering) but {e edge order preserved}. Two
     inputs with equal signatures have identical decompositions bag for
-    bag and index for index — which is what makes a decomposition
-    memoized under an order-insensitive clause key safe to reuse: the
-    memo entry stores the signature and is recomputed when a clause
-    with the same canonical key presents its literals in a different
-    order. *)
+    bag and index for index, up to the attribute names in [bag_vars] —
+    which is what lets the coverage layer memoize decompositions by
+    signature alone. *)
 let signature (sorts : string list list) =
   let ids = Hashtbl.create 16 in
   let buf = Buffer.create 64 in

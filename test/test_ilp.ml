@@ -274,17 +274,17 @@ let coverage_suite =
         check Alcotest.int "no new subsumption tests" 0 d.Stats.subsumption_tests;
         check Alcotest.int "every answer was a cache hit" (Coverage.length cov)
           d.Stats.cache_hits);
-    tc "α-equivalent clauses share one cache entry" (fun () ->
+    tc "α-equivalent clauses share one cache entry only when renamed" (fun () ->
         Stats.reset ();
         let cov = coverage_fixture () in
         let full = Coverage.vector cov grandparent_clause in
-        (* same clause up to variable renaming and body order *)
+        (* same clause up to variable renaming *)
         let renamed =
           Clause.make
             (Atom.make "grandparent" [ v "gp"; v "gc" ])
             [
-              Atom.make "parent" [ v "mid"; v "gc" ];
               Atom.make "parent" [ v "gp"; v "mid" ];
+              Atom.make "parent" [ v "mid"; v "gc" ];
             ]
         in
         let s0 = Stats.snapshot () in
@@ -292,7 +292,45 @@ let coverage_suite =
           (Coverage.vector cov renamed);
         let d = Stats.diff (Stats.snapshot ()) s0 in
         check Alcotest.int "answered by the cache" 1 d.Stats.cache_hits;
-        check Alcotest.int "no new subsumption tests" 0 d.Stats.subsumption_tests);
+        check Alcotest.int "no new subsumption tests" 0 d.Stats.subsumption_tests;
+        (* a permuted body is θ-equivalent but keys apart: it misses the
+           cache and still gets the same answer *)
+        let permuted =
+          Clause.make renamed.Clause.head (List.rev renamed.Clause.body)
+        in
+        let s1 = Stats.snapshot () in
+        check Alcotest.(array bool) "permuted: same vector" full
+          (Coverage.vector cov permuted);
+        let d = Stats.diff (Stats.snapshot ()) s1 in
+        check Alcotest.int "permuted: not answered by the cache" 0
+          d.Stats.cache_hits);
+    tc "memo keeps int, string and variable arguments apart" (fun () ->
+        (* p(a,5) holds with the int 5, p(b,"5") with the string "5" *)
+        let at = Schema.attribute ~domain:"d" in
+        let inst =
+          Instance.create (Schema.make [ Schema.relation "p" [ at "x"; at "y" ] ])
+        in
+        Instance.add inst "p" (Tuple.of_list [ Value.str "a"; Value.int 5 ]);
+        Instance.add inst "p" (Tuple.of_list [ Value.str "b"; Value.str "5" ]);
+        let examples =
+          Array.map
+            (fun e -> Atom.of_tuple "t" (Tuple.of_list [ Value.str e ]))
+            [| "a"; "b" |]
+        in
+        let memo = Coverage.build ~params:Bottom.default_params inst examples in
+        let fresh = Coverage.build ~params:Bottom.default_params inst examples in
+        Coverage.set_cache fresh false;
+        (* queried in this order, memo on: each answer must match the
+           memo-off one *)
+        List.iteri
+          (fun i arg ->
+            let c =
+              Clause.make (Atom.make "t" [ v "X" ]) [ Atom.make "p" [ v "X"; arg ] ]
+            in
+            check Alcotest.(array bool)
+              (Fmt.str "query %d: %s" i (Clause.to_string c))
+              (Coverage.vector fresh c) (Coverage.vector memo c))
+          [ Term.Const (Value.int 5); k "5"; v "Y"; k "_1" ]);
     tc "subsumption-test counter is exact with 4 forced domains" (fun () ->
         let cov = coverage_fixture () in
         Coverage.set_cache cov false;

@@ -488,11 +488,11 @@ let differential_suite =
           (Castor_obs.Obs.Counter.value recoveries > v0));
   ]
 
-(* ---------------- structural cache key ---------------------------- *)
+(* ---------------- coverage-memo key and literal identity --------- *)
 
-let canonical_suite =
-  (* apply a random variable bijection and a random body permutation *)
-  let rename_and_permute st (c : Clause.t) =
+let variant_key_suite =
+  (* apply a random variable bijection *)
+  let rename st (c : Clause.t) =
     let vars = Clause.variables c in
     let n = List.length vars in
     let perm = Array.init n (fun i -> i) in
@@ -511,47 +511,58 @@ let canonical_suite =
       | Term.Const _ as t -> t
     in
     let conv (a : Atom.t) = { a with Atom.args = Array.map ren a.Atom.args } in
-    let body = Array.of_list (List.map conv c.Clause.body) in
-    for i = Array.length body - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let t = body.(i) in
-      body.(i) <- body.(j);
-      body.(j) <- t
-    done;
-    Clause.make (conv c.Clause.head) (Array.to_list body)
+    Clause.make (conv c.Clause.head) (List.map conv c.Clause.body)
   in
   [
-    qt ~count:500 "canonical_key is invariant under renaming + permutation"
+    qt ~count:500 "variant_key is invariant under renaming"
       QCheck2.Gen.(pair clause_gen (int_bound 1_000_000))
       (fun (c, seed) ->
         let st = Random.State.make [| seed |] in
-        String.equal (Clause.canonical_key c)
-          (Clause.canonical_key (rename_and_permute st c)));
-    qt ~count:500 "equal canonical keys imply θ-equivalence (soundness)"
+        String.equal (Clause.variant_key c) (Clause.variant_key (rename st c)));
+    qt ~count:500 "equal variant keys imply θ-equivalence (soundness)"
       QCheck2.Gen.(pair clause_gen clause_gen)
       (fun (c, d) ->
-        (not (String.equal (Clause.canonical_key c) (Clause.canonical_key d)))
+        (not (String.equal (Clause.variant_key c) (Clause.variant_key d)))
         || Subsume.equivalent c d);
-    tc "automorphic literal groups key identically across orders" (fun () ->
-        (* p(A,B),q(B,B) and p(C,D),q(D,D) are interchangeable; the
-           final render sort must make both input orders agree *)
-        let lits nm1 nm2 =
+    tc "distinct structures get distinct keys" (fun () ->
+        (* p(x,x) against p(x,y); then constants of either kind that
+           print alike, or like a variable or a key delimiter *)
+        let key arg =
+          Clause.variant_key (cl (atom "t" [ v "x" ]) [ atom "p" [ v "x"; arg ] ])
+        in
+        let args =
           [
-            atom "p" [ v (nm1 ^ "a"); v (nm1 ^ "b") ];
-            atom "q" [ v (nm1 ^ "b"); v (nm1 ^ "b") ];
-            atom "p" [ v (nm2 ^ "a"); v (nm2 ^ "b") ];
-            atom "q" [ v (nm2 ^ "b"); v (nm2 ^ "b") ];
+            v "x";
+            v "y";
+            Term.Const (Value.int 5);
+            k "5";
+            k "_1";
+            k "#5";
+            k "a\"b";
+            k "a\",\"b";
           ]
         in
-        let c1 = cl (atom "t" [ k "a" ]) (lits "u" "v") in
-        let c2 = cl (atom "t" [ k "a" ]) (lits "v" "u") in
-        check Alcotest.string "same key" (Clause.canonical_key c1)
-          (Clause.canonical_key c2));
-    tc "distinct structures get distinct keys" (fun () ->
-        let c1 = cl (atom "t" [ v "x" ]) [ atom "p" [ v "x"; v "y" ] ] in
-        let c2 = cl (atom "t" [ v "x" ]) [ atom "p" [ v "x"; v "x" ] ] in
-        check Alcotest.bool "different" false
-          (String.equal (Clause.canonical_key c1) (Clause.canonical_key c2)));
+        let keys = List.map key args in
+        check Alcotest.int "all distinct" (List.length keys)
+          (List.length (List.sort_uniq String.compare keys)));
+    tc "dedup_body keeps literals that only print alike" (fun () ->
+        (* a variable and a string constant both print as a; the int 5
+           and the string "5" both print as 5 *)
+        let five = Term.Const (Value.int 5) in
+        let body =
+          [
+            atom "p" [ v "x"; v "a" ];
+            atom "p" [ v "x"; k "a" ];
+            atom "q" [ v "x"; five ];
+            atom "q" [ v "x"; k "5" ];
+          ]
+        in
+        let c = cl (atom "t" [ v "x" ]) body in
+        check Alcotest.int "all four survive" 4
+          (Clause.length (Clause.dedup_body c));
+        let dup = cl (atom "t" [ v "x" ]) (body @ [ atom "q" [ v "x"; five ] ]) in
+        check Alcotest.int "a true duplicate is removed" 4
+          (Clause.length (Clause.dedup_body dup)));
   ]
 
 let budget_suite =
@@ -589,5 +600,5 @@ let budget_suite =
 
 let suite =
   term_suite @ subst_suite @ clause_suite @ subsume_suite @ differential_suite
-  @ canonical_suite @ lgg_suite @ eval_suite @ minimize_suite @ rewrite_suite
+  @ variant_key_suite @ lgg_suite @ eval_suite @ minimize_suite @ rewrite_suite
   @ budget_suite
