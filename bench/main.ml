@@ -363,6 +363,13 @@ let prefixes cov ~n ~lengths =
         lengths)
     (List.init (min n (Castor_ilp.Coverage.length cov)) Fun.id)
 
+(* The two measured passes of [coverage_batch], as spans: CI gates the
+   batched pass to stay faster than the subsumption pass in the same
+   dump, a ratio that holds across machines. *)
+let span_cb_batched = Obs.Span.create "bench.coverage_batch.batched"
+
+let span_cb_subsumption = Obs.Span.create "bench.coverage_batch.subsumption"
+
 let coverage_batch () =
   section
     "Coverage batch -- batched semi-join kernel vs per-example subsumption";
@@ -388,9 +395,9 @@ let coverage_batch () =
     (vs, Unix.gettimeofday () -. t0)
   in
   let _ = with_batch true (* warmup *) in
-  let off, t_off = with_batch false in
+  let off, t_off = Obs.Span.with_span span_cb_subsumption (fun () -> with_batch false) in
   (* batched pass last, so the emitted metrics describe the kernel *)
-  let on_, t_on = with_batch true in
+  let on_, t_on = Obs.Span.with_span span_cb_batched (fun () -> with_batch true) in
   if not (List.for_all2 (fun (a, b) (c, d) -> a = c && b = d) on_ off) then
     failwith "coverage_batch: batched kernel disagrees with Subsume";
   let n = 2 * List.length clauses in

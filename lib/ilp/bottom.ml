@@ -121,7 +121,9 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
     tbl
   in
   let body = ref [] in
-  let present : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* keyed on the tuple itself: a printed key would merge r(e,5) with
+     r(e,"5"), and s(e,"a, b","c") with s(e,"a","b, c") *)
+  let present : (string * Tuple.t, unit) Hashtbl.t = Hashtbl.create 256 in
   let constants : (Value.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let n_constants () = Hashtbl.length constants in
   let pending_constants = ref [] in
@@ -135,7 +137,7 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
     (function Term.Const v -> note_constant v | Term.Var _ -> ())
     e.Atom.args;
   let admit rel (tu : Tuple.t) =
-    let key = rel ^ Fmt.str "%a" Tuple.pp tu in
+    let key = (rel, tu) in
     if Hashtbl.mem present key then false
     else begin
       Hashtbl.replace present key ();
@@ -169,11 +171,11 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
                   tie-break, independently of the lookup provider's
                   enumeration order *)
                let hits =
-                 List.sort
-                   (fun a b ->
-                     let c = compare (tuple_key a) (tuple_key b) in
-                     if c <> 0 then c else Tuple.compare a b)
-                   (lookup rel v)
+                 List.map (fun tu -> (tuple_key tu, tu)) (lookup rel v)
+                 |> List.sort (fun (ka, a) (kb, b) ->
+                        let c = String.compare ka kb in
+                        if c <> 0 then c else Tuple.compare a b)
+                 |> List.map snd
                in
                let rec take n = function
                  | [] -> ()

@@ -25,6 +25,19 @@
     from ARMG's prefix probes ({!covers}), which almost never hit.
     Coverage tests can also be fanned out over domains ({!Parallel}).
 
+    {2 Prepared bottom clauses}
+
+    The subsumption route tests the same ground bottom clause against
+    thousands of candidates, so each example's bottom clause is grouped
+    by relation once ({!Subsume.prepare}), on its first subsumption
+    test — never in [build], which does no such set-up work. An entry
+    is reset wherever its bottom clause changes: per re-saturated
+    example by an incremental refresh, for every example by a full
+    refresh, and [sub] starts with none. Only the calling domain fills
+    entries: before fanning out, {!compute_positions} resolves the
+    targets of its positions, and the worker closures capture that
+    immutable array.
+
     {2 Online updates}
 
     The structure subscribes to the source backend's delta stream
@@ -56,6 +69,11 @@ type t = {
   mutable bottoms : Clause.t array;
       (** ground bottom clause per example; patched (affected examples
           only) or rebuilt by {!refresh} when the source mutates *)
+  mutable prepared : Subsume.prepared option array;
+      (** per example, its bottom clause grouped by relation for the
+          subsumption route ({!Subsume.prepare}); filled on the
+          example's first subsumption test, on the calling domain only,
+          and reset wherever [bottoms] changes *)
   mutable avg_bottom_len : float;
       (** mean atom count (head included) of [bottoms], the planner's
           subsumption-cost input; recomputed whenever [bottoms]
@@ -188,6 +206,7 @@ let build ?expand ~params ?(max_steps = 250_000) inst
   {
     examples;
     bottoms;
+    prepared = Array.make (Array.length bottoms) None;
     avg_bottom_len = mean_bottom_len bottoms;
     max_steps;
     cache = Hashtbl.create 256;
@@ -267,6 +286,7 @@ let full_refresh t gen =
   t.bottoms <-
     saturate_all ?expand:t.expand ~params:t.params ~backend:data t.inst
       t.examples;
+  t.prepared <- Array.make (Array.length t.bottoms) None;
   t.avg_bottom_len <- mean_bottom_len t.bottoms;
   t.ex_store <- example_store t.inst t.examples t.bottoms;
   t.eids <- Array.init (Array.length t.examples) Fun.id;
@@ -342,6 +362,7 @@ let incremental_refresh t ds gen =
           t.inst t.examples.(i)
       in
       t.bottoms.(i) <- new_b;
+      t.prepared.(i) <- None;
       patch_ex_store t i old_b new_b)
     affected;
   if Array.length affected > 0 then begin
@@ -401,6 +422,7 @@ let sub t idxs =
   {
     examples = Array.map (fun i -> t.examples.(i)) idxs;
     bottoms;
+    prepared = Array.make (Array.length idxs) None;
     avg_bottom_len = mean_bottom_len bottoms;
     max_steps = t.max_steps;
     cache = Hashtbl.create 64;
@@ -499,14 +521,23 @@ let run_semijoin t patterns decomp positions =
       Planner.note_actual (work () - work0);
       res
 
-(* [bottoms] and [max_steps] are threaded explicitly (not read off
-   [t]) so the worker closures built over this function hold an
-   immutable snapshot — a concurrent [refresh] swapping [t.bottoms]
-   cannot tear a running vector computation. *)
-let subsumes_noted ~max_steps (bottoms : Clause.t array) clause i =
+(* Example [i]'s prepared bottom clause, built on its first
+   subsumption test. Main-domain only: worker domains read the targets
+   [compute_positions] resolved for them and never touch the array. *)
+let prepared_at t i =
+  match t.prepared.(i) with
+  | Some p -> p
+  | None ->
+      let p = Subsume.prepare t.bottoms.(i) in
+      t.prepared.(i) <- Some p;
+      p
+
+(* [max_steps] is threaded explicitly (not read off [t]) so the worker
+   closures built over this function hold an immutable snapshot. *)
+let subsumes_noted ~max_steps target clause =
   Obs.Counter.incr Stats.c_subsumption_tests;
   let steps0 = Obs.Counter.value Subsume.c_steps in
-  let r = Subsume.subsumes ~max_steps clause bottoms.(i) in
+  let r = Subsume.subsumes_prepared ~max_steps clause target in
   Planner.note_actual (Obs.Counter.value Subsume.c_steps - steps0);
   r
 
@@ -522,12 +553,13 @@ let compute_positions t clause (positions : int array) =
     | Planner.Semijoin (patterns, decomp) ->
         run_semijoin t patterns decomp positions
     | Planner.Subsumption ->
-        (* the test closure runs on worker domains, so it captures a
-           snapshot of the mutable state it needs instead of reading
-           fields of [t] concurrently *)
-        let bottoms = t.bottoms and max_steps = t.max_steps in
+        (* the test closure runs on worker domains, so it captures an
+           immutable array of targets resolved here, on the calling
+           domain, instead of reading fields of [t] concurrently *)
+        let targets = Array.map (prepared_at t) positions in
+        let max_steps = t.max_steps in
         let k = Array.length positions in
-        let test j = subsumes_noted ~max_steps bottoms clause positions.(j) in
+        let test j = subsumes_noted ~max_steps targets.(j) clause in
         let force = t.force_parallel and domains = t.domains in
         if domains <= 1 then Array.init k test
         else Parallel.init ~force ~domains k test
@@ -587,7 +619,7 @@ let covers t clause i =
       | Planner.Semijoin (patterns, decomp) ->
           (run_semijoin t patterns decomp [| i |]).(0)
       | Planner.Subsumption ->
-          subsumes_noted ~max_steps:t.max_steps t.bottoms clause i)
+          subsumes_noted ~max_steps:t.max_steps (prepared_at t i) clause)
 
 (** [vector ?assume ?within t clause] returns the boolean coverage
     vector of [clause] over all examples.

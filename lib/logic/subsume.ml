@@ -30,7 +30,14 @@
     after every attempt exhausts does the engine conservatively report
     non-subsumption. Restarts are deterministic per
     (clause, attempt): the shuffle seed is a hash of the pattern body
-    mixed with the attempt number, so results are reproducible. *)
+    mixed with the attempt number, so results are reproducible. The
+    seed is only computed when a restart happens.
+
+    A target [D] tested against many clauses can be {e prepared} once
+    ({!prepare}: its head plus its body grouped by relation) and tested
+    with {!subsumes_prepared}; {!subsuming_subst} is the prepared call
+    on [prepare d], so both share one search path. A prepared target
+    is immutable: it can be shared with worker domains. *)
 
 module Obs = Castor_obs.Obs
 
@@ -425,6 +432,9 @@ let default_restarts = 3
 
 (* Run [search], restarting with a shuffled literal order and a
    doubled budget on exhaustion, up to [max_restarts] extra attempts.
+   [seed ()] is only called when a restart happens: no search on the
+   benchmark workloads restarts, and the seed hashes the whole
+   pattern.
    [base] is the post-AC seeded binding array: [search] leaves
    bindings dirty when the budget exception escapes, so every attempt
    works on a fresh copy. The first attempt keeps the most-bound-first
@@ -436,7 +446,7 @@ let search_with_restarts ~max_steps ~max_restarts ~seed (base : Term.t option ar
   let plit_arr = Array.of_list plits in
   let rec attempt k budget =
     let input =
-      if k = 0 then plit_arr else seeded_shuffle (mix (seed + k)) plit_arr
+      if k = 0 then plit_arr else seeded_shuffle (mix (seed () + k)) plit_arr
     in
     let ordered = order_literals base (Array.to_list input) in
     let bindings = Array.copy base in
@@ -460,21 +470,27 @@ let search_with_restarts ~max_steps ~max_restarts ~seed (base : Term.t option ar
 (* Public interface                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(** [subsuming_subst ?max_steps ?max_restarts c d] returns a witness θ
-    with [Cθ ⊆ D], or [None]. Heads must match. [max_restarts]
-    (default {!default_restarts}) bounds the randomized re-runs after
-    budget exhaustion; [~max_restarts:0] restores the old
-    conservative give-up-on-first-exhaustion behavior. *)
-let subsuming_subst ?(max_steps = 60_000) ?(max_restarts = default_restarts)
-    (c : Clause.t) (d : Clause.t) =
+(** A subsumption target [D] prepared once for many tests: its head
+    and its body literals grouped by relation. Coverage tests the same
+    ground bottom clause against thousands of candidates, so it keeps
+    one per example instead of regrouping the body on every call. A
+    prepared target is immutable and safe to share across domains. *)
+type prepared = { phead : Atom.t; pgroups : groups }
+
+(** [prepare d] groups [d]'s body by relation. *)
+let prepare (d : Clause.t) = { phead = d.Clause.head; pgroups = group_body d.Clause.body }
+
+(** [subsuming_subst_prepared ?max_steps ?max_restarts c p] is
+    {!subsuming_subst} against a prepared target. *)
+let subsuming_subst_prepared ?(max_steps = 60_000)
+    ?(max_restarts = default_restarts) (c : Clause.t) (p : prepared) =
   Obs.Counter.incr c_calls;
-  match Subst.match_atom Subst.empty c.Clause.head d.Clause.head with
+  match Subst.match_atom Subst.empty c.Clause.head p.phead with
   | None -> None
   | Some s0 -> (
       if c.Clause.body = [] then Some s0
       else
-        let groups = group_body d.Clause.body in
-        match compile_pattern c.Clause.body groups with
+        match compile_pattern c.Clause.body p.pgroups with
         | exception Refuted ->
             Obs.Counter.incr c_ac_refuted;
             None
@@ -504,7 +520,7 @@ let subsuming_subst ?(max_steps = 60_000) ?(max_restarts = default_restarts)
                   (* the shuffle seed depends only on the pattern, so
                      a given (clause, attempt) always explores the
                      same order *)
-                  let seed =
+                  let seed () =
                     Hashtbl.hash
                       (List.map
                          (fun (a : Atom.t) ->
@@ -527,9 +543,21 @@ let subsuming_subst ?(max_steps = 60_000) ?(max_restarts = default_restarts)
                         var_ids;
                       Some !s)))
 
+(** [subsuming_subst ?max_steps ?max_restarts c d] returns a witness θ
+    with [Cθ ⊆ D], or [None]. Heads must match. [max_restarts]
+    (default {!default_restarts}) bounds the randomized re-runs after
+    budget exhaustion; [~max_restarts:0] restores the old
+    conservative give-up-on-first-exhaustion behavior. *)
+let subsuming_subst ?max_steps ?max_restarts c d =
+  subsuming_subst_prepared ?max_steps ?max_restarts c (prepare d)
+
 (** [subsumes c d] decides [C θ-subsumes D]. *)
 let subsumes ?max_steps ?max_restarts c d =
   Option.is_some (subsuming_subst ?max_steps ?max_restarts c d)
+
+(** [subsumes_prepared c p] decides [C θ-subsumes D] for [p = prepare D]. *)
+let subsumes_prepared ?max_steps ?max_restarts c p =
+  Option.is_some (subsuming_subst_prepared ?max_steps ?max_restarts c p)
 
 (** Reference implementation without pruning or ordering, used to
     cross-check the optimized engine in tests. *)

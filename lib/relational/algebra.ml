@@ -8,7 +8,15 @@
     ({!semijoin_batch}): one Yannakakis program over a {!Columnar}
     example store answers a whole batch of example-coverage questions,
     reading each pattern once through the engine's select-project
-    pushdown. *)
+    pushdown. The kernel runs on the store's own representation from
+    start to finish: pattern constants are looked up once in the
+    store's one dictionary, scans return id rows, and semi-joins,
+    leapfrog seeks and the final example-id intersection compare ints
+    — no row is ever decoded back to {!Value}s. A semi-join key of the
+    example id plus at most one shared variable (the common case) packs
+    into one int, [eid * dictionary_size + var], which is injective
+    because ids are dense dictionary indexes; wider keys hash the id
+    row. *)
 
 (** [project inst rel attrs] computes [π_attrs(inst.rel)] as a
     duplicate-free tuple list in the order of [attrs]. *)
@@ -112,6 +120,24 @@ let natural_join_all = function
 (** [select tbl pred] keeps the rows satisfying [pred]. *)
 let select tbl pred = { tbl with trows = List.filter pred tbl.trows }
 
+(** [reorder tbl attrs] permutes the columns of [tbl] to follow
+    [attrs] (which must be a permutation of a subset of its columns,
+    duplicates removed). *)
+let reorder tbl attrs =
+  let pos name =
+    let rec go i = function
+      | [] -> raise Not_found
+      | (x : Schema.attribute) :: _ when String.equal x.Schema.aname name -> i
+      | _ :: tl -> go (i + 1) tl
+    in
+    go 0 tbl.tattrs
+  in
+  let ps = List.map pos attrs in
+  {
+    tattrs = List.map (fun p -> List.nth tbl.tattrs p) ps;
+    trows = List.map (fun r -> Tuple.project ps r) tbl.trows;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Batched semi-join kernel over the columnar example store            *)
 (* ------------------------------------------------------------------ *)
@@ -152,9 +178,13 @@ let pattern_vars p =
     [] p.pargs
   |> List.rev
 
-(* An intermediate semi-join operand: row.(0) is the example id and
-   row.(k + 1) the binding of the k-th variable of [svars]. *)
-type sj_table = { svars : string list; mutable srows : Tuple.t list }
+(* sets of packed int keys and of example ids *)
+module Int_tbl = Hashtbl.Make (Int)
+
+(* An intermediate semi-join operand of id rows: row.(0) is the
+   dictionary id of the example id and row.(k + 1) the id bound to the
+   k-th variable of [svars]. *)
+type sj_table = { svars : string list; mutable srows : int array list }
 
 (* Scan one pattern against the example store. The pattern scan is
    one select-project query inside the columnar engine: σ on the
@@ -162,7 +192,8 @@ type sj_table = { svars : string list; mutable srows : Tuple.t list }
    deduplicated — posting-list intersections instead of
    scan-and-filter, memoized across repeated scans. [rows_scanned]
    counts the stored rows the engine actually visited. A relation the
-   store lacks, or a pattern of the wrong arity, matches nothing. *)
+   store lacks, a pattern of the wrong arity, or a constant the
+   store's dictionary lacks matches nothing. *)
 let scan_pattern (store : Columnar.t) (p : pattern) =
   let vars = pattern_vars p in
   let rows =
@@ -172,84 +203,121 @@ let scan_pattern (store : Columnar.t) (p : pattern) =
         && Columnar.arity store p.prel = Array.length p.pargs + 1)
     then []
     else begin
-      let consts = ref [] and eqs = ref [] in
-      let first_pos = Hashtbl.create 8 in
-      Array.iteri
-        (fun j a ->
-          match a with
-          | Aconst v -> consts := (j + 1, v) :: !consts
-          | Avar x -> (
-              match Hashtbl.find_opt first_pos x with
-              | None -> Hashtbl.add first_pos x (j + 1)
-              | Some p0 -> eqs := (p0, j + 1) :: !eqs))
-        p.pargs;
-      let project = 0 :: List.map (Hashtbl.find first_pos) vars in
-      match
-        Columnar.select_project store p.prel ~consts:(List.rev !consts)
-          ~eqs:(List.rev !eqs) ~project
-      with
-      | Some (rows, examined) ->
-          Obs.Counter.add c_rows_scanned examined;
-          rows
-      | None -> []
+      let exception Absent in
+      try
+        let consts = ref [] and eqs = ref [] in
+        let first_pos = Hashtbl.create 8 in
+        Array.iteri
+          (fun j a ->
+            match a with
+            | Aconst v -> (
+                match Columnar.intern_id store v with
+                | Some id -> consts := (j + 1, id) :: !consts
+                | None -> raise Absent)
+            | Avar x -> (
+                match Hashtbl.find_opt first_pos x with
+                | None -> Hashtbl.add first_pos x (j + 1)
+                | Some p0 -> eqs := (p0, j + 1) :: !eqs))
+          p.pargs;
+        let project = 0 :: List.map (Hashtbl.find first_pos) vars in
+        match
+          Columnar.select_project store p.prel ~consts:(List.rev !consts)
+            ~eqs:(List.rev !eqs) ~project
+        with
+        | Some (rows, examined) ->
+            Obs.Counter.add c_rows_scanned examined;
+            rows
+        | None -> []
+      with Absent -> []
     end
   in
   { svars = vars; srows = rows }
 
-(* parent ⋉ child on the example id plus their shared variables *)
-let semijoin parent child =
+let var_col tbl v =
+  let rec go i = function
+    | [] -> raise Not_found
+    | x :: _ when String.equal x v -> i + 1
+    | _ :: tl -> go (i + 1) tl
+  in
+  go 0 tbl.svars
+
+(* parent ⋉ child on the example id plus their shared variables. Ids
+   are dense dictionary indexes below [width], so the key of the
+   example id plus at most one shared variable packs injectively into
+   the int [eid * width + var] — the common case; wider keys hash the
+   projected id row. *)
+let semijoin ~width parent child =
   Obs.Counter.incr c_semijoins;
   let shared = List.filter (fun v -> List.mem v parent.svars) child.svars in
-  let pos_in tbl v =
-    let rec go i = function
-      | [] -> raise Not_found
-      | x :: _ when String.equal x v -> i + 1
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 tbl.svars
+  let n = List.length child.srows in
+  let on_int ckey pkey =
+    let keys = Int_tbl.create n in
+    List.iter (fun r -> Int_tbl.replace keys (ckey r) ()) child.srows;
+    parent.srows <- List.filter (fun r -> Int_tbl.mem keys (pkey r)) parent.srows
   in
-  let cpos = 0 :: List.map (pos_in child) shared in
-  let ppos = 0 :: List.map (pos_in parent) shared in
-  let keys = Hashtbl.create (List.length child.srows) in
-  List.iter (fun r -> Hashtbl.replace keys (Tuple.project cpos r) ()) child.srows;
-  parent.srows <-
-    List.filter (fun r -> Hashtbl.mem keys (Tuple.project ppos r)) parent.srows
+  match shared with
+  | [] -> on_int (fun r -> r.(0)) (fun r -> r.(0))
+  | [ v ] ->
+      let c = var_col child v and p = var_col parent v in
+      on_int
+        (fun r -> (r.(0) * width) + r.(c))
+        (fun r -> (r.(0) * width) + r.(p))
+  | _ ->
+      let cols tbl = Array.of_list (0 :: List.map (var_col tbl) shared) in
+      let project pos (r : int array) = Array.map (fun i -> r.(i)) pos in
+      let cpos = cols child and ppos = cols parent in
+      let keys = Hashtbl.create n in
+      List.iter (fun r -> Hashtbl.replace keys (project cpos r) ()) child.srows;
+      parent.srows <-
+        List.filter (fun r -> Hashtbl.mem keys (project ppos r)) parent.srows
 
 (* ------------------------------------------------------------------ *)
 (* Worst-case-optimal bag materialization                              *)
 (* ------------------------------------------------------------------ *)
 
 (* [lower_bound]/[upper_bound]: first index in [lo, hi) of [mat] whose
-   value at column [col] is >= v (resp. > v). The rows of [mat] are
+   id at column [col] is >= v (resp. > v). The rows of [mat] are
    sorted lexicographically and every column before [col] is constant
    within [lo, hi), so column [col] is sorted there. *)
-let lower_bound (mat : Tuple.t array) col lo hi v =
+let lower_bound (mat : int array array) col lo hi (v : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Value.compare mat.(mid).(col) v < 0 then lo := mid + 1 else hi := mid
+    if mat.(mid).(col) < v then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let upper_bound (mat : Tuple.t array) col lo hi v =
+let upper_bound (mat : int array array) col lo hi (v : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Value.compare mat.(mid).(col) v <= 0 then lo := mid + 1 else hi := mid
+    if mat.(mid).(col) <= v then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* lexicographic order on id rows of one operand (equal lengths) *)
+let compare_rows (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec go i =
+    if i >= n then 0
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
 
 (* Materialize one multi-edge bag of a decomposition: the natural join
    of its member tables, computed by a leapfrog-style worst-case-
    optimal generic join. Variables are eliminated in a fixed global
    order — the example id first, then the bag's variables by first
-   occurrence — and the candidate values of each variable are obtained
+   occurrence — and the candidate ids of each variable are obtained
    by sorted-array intersection over every member containing it: the
    member with the fewest remaining rows leads, the others are probed
    by binary search and narrow their live row range as the partial
-   assignment grows. Each emitted row is a full distinct assignment of
-   (eid, bag variables), so the result is itself a valid semi-join
-   operand. *)
+   assignment grows. Rows sort by id, not by value: the set of rows
+   emitted, and the seeks made, do not depend on the order. Each
+   emitted row is a full distinct assignment of (eid, bag variables),
+   so the result is itself a valid semi-join operand. *)
 let leapfrog_bag (tables : sj_table list) =
   let bag_vars =
     List.fold_left
@@ -279,24 +347,17 @@ let leapfrog_bag (tables : sj_table list) =
            let col_at = Array.make n_depths (-1) in
            col_at.(0) <- 0;
            List.iteri (fun k v -> col_at.(Hashtbl.find depth_of v) <- k + 1) tv;
-           let pos_in v =
-             let rec go i = function
-               | [] -> raise Not_found
-               | x :: _ when String.equal x v -> i + 1
-               | _ :: tl -> go (i + 1) tl
-             in
-             go 0 t.svars
-           in
-           let proj = 0 :: List.map pos_in tv in
+           let proj = Array.of_list (0 :: List.map (var_col t) tv) in
            let mat =
-             Array.of_list (List.map (fun r -> Tuple.project proj r) t.srows)
+             Array.of_list
+               (List.map (fun (r : int array) -> Array.map (fun i -> r.(i)) proj) t.srows)
            in
-           Array.sort Tuple.compare mat;
+           Array.sort compare_rows mat;
            (mat, col_at))
          tables)
   in
   let m = Array.length ops in
-  let cur = Array.make n_depths (Value.int 0) in
+  let cur = Array.make n_depths 0 in
   let out = ref [] in
   let rec enum d (ranges : (int * int) array) =
     if d = n_depths then begin
@@ -404,38 +465,28 @@ let semijoin_batch ?decomposition (store : Columnar.t)
                 leapfrog_bag (List.map (fun e -> tables.(e)) members))
           decomp.Hypergraph.bags
       in
+      (* [width] bounds every id, so packed keys stay below
+         [width * width], inside an int *)
+      let width = Columnar.dictionary_size store in
+      assert (width <= 1 lsl 30);
       let root_sets = ref [] in
       List.iter
         (fun (b, parent) ->
           match parent with
-          | Some f -> semijoin bag_tables.(f) bag_tables.(b)
+          | Some f -> semijoin ~width bag_tables.(f) bag_tables.(b)
           | None ->
-              let set = Hashtbl.create 64 in
+              let set = Int_tbl.create 64 in
               List.iter
-                (fun (r : Tuple.t) -> Hashtbl.replace set r.(0) ())
+                (fun (r : int array) -> Int_tbl.replace set r.(0) ())
                 bag_tables.(b).srows;
               root_sets := set :: !root_sets)
         decomp.Hypergraph.forest;
       let sets = !root_sets in
+      (* an example id the dictionary lacks has no stored fact, so only
+         an empty conjunction of roots covers it *)
       Array.map
         (fun eid ->
-          List.for_all (fun set -> Hashtbl.mem set (Value.int eid)) sets)
+          match Columnar.intern_id store (Value.int eid) with
+          | Some id -> List.for_all (fun set -> Int_tbl.mem set id) sets
+          | None -> sets = [])
         eids
-
-(** [reorder tbl attrs] permutes the columns of [tbl] to follow
-    [attrs] (which must be a permutation of a subset of its columns,
-    duplicates removed). *)
-let reorder tbl attrs =
-  let pos name =
-    let rec go i = function
-      | [] -> raise Not_found
-      | (x : Schema.attribute) :: _ when String.equal x.Schema.aname name -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 tbl.tattrs
-  in
-  let ps = List.map pos attrs in
-  {
-    tattrs = List.map (fun p -> List.nth tbl.tattrs p) ps;
-    trows = List.map (fun r -> Tuple.project ps r) tbl.trows;
-  }

@@ -6,10 +6,13 @@
     store the batched kernel reads), is the "do the algebra inside the
     engine" layout the SQL-for-SRL position paper argues for:
 
-    - every {!Value} is {e interned} to a dense int id through a
-      per-relation dictionary ([intern] / [vals]), so equality anywhere
-      in the engine is int equality and a value is boxed once no matter
-      how many tuples mention it;
+    - every {!Value} is {e interned} to a dense int id through {e one}
+      dictionary per store ([intern] / [vals]), shared by every
+      relation: an id means the same value in every relation, so
+      equality anywhere in the engine — within a relation or across a
+      join — is int equality, and a value is boxed once no matter how
+      many tuples or relations mention it. Ids are dense ([0 ..
+      dictionary_size - 1]) and never reclaimed;
     - each relation is laid out as {e per-position int columns}
       ([cols.(pos).(slot)] = value id of row [slot]);
     - every [(position, value-id)] pair keeps a {e posting list} — a
@@ -19,13 +22,14 @@
       posting lists at [pos], both O(1) and exact, feeding the coverage
       planner directly;
     - {!select_project} evaluates a whole select-project query (the
-      per-pattern scan of {!Algebra.semijoin_batch}) natively:
-      constant predicates become posting-list intersections, repeated
-      variables become int-column comparisons, projection and
-      deduplication happen on value ids, and results are memoized per
-      generation — so a repeated pattern scan (the common case while
-      learning: every candidate clause containing an atom re-scans
-      that relation) costs zero row visits.
+      per-pattern scan of {!Algebra.semijoin_batch}) natively on ids:
+      constants arrive as value ids and become posting-list
+      intersections, repeated variables become int-column comparisons,
+      projection and deduplication happen on value ids, the result is
+      a list of {e id rows} (never decoded to {!Value}s), and results
+      are memoized per generation — so a repeated pattern scan (the
+      common case while learning: every candidate clause containing an
+      atom re-scans that relation) costs zero row visits.
 
     Slots are append-only between compactions: [remove] tombstones a
     row (its postings are spliced, its [live] bit cleared) and never
@@ -38,8 +42,8 @@
     the slots are live, and a remove compacts once tombstones
     outnumber [max live 16], so under churn a relation occupies at
     most [2 × max live 16] slots. Compaction is not a delta: the
-    generation does not move, and the pushdown memo (which holds
-    values, not slots) stays valid. Like {!Instance}, every effective
+    generation does not move, and the pushdown memo (which holds value
+    ids, not slots) stays valid. Like {!Instance}, every effective
     mutation is appended to a {!Delta.Log} — the generation is the log
     length and subscribers see each effective delta batch.
 
@@ -72,9 +76,6 @@ type posting = { mutable ids : int array; mutable plen : int }
 
 type crel = {
   arity : int;
-  intern : (Value.t, int) Hashtbl.t;  (** per-relation dictionary *)
-  mutable vals : Value.t array;  (** id -> value (append-only) *)
-  mutable n_vals : int;
   mutable cols : int array array;  (** [cols.(pos).(slot)] = value id *)
   mutable cap : int;  (** allocated slots *)
   mutable live : Bytes.t;  (** tombstone bitmap-as-bytes per slot *)
@@ -86,13 +87,16 @@ type crel = {
 
 (* one memoized select-project result; the entry is valid while the
    backend generation it was computed at still holds *)
-type memo_entry = { mgen : int; mrows : Tuple.t list }
+type memo_entry = { mgen : int; mrows : int array list }
 
 type t = {
   rels : (string, crel) Hashtbl.t;
+  intern : (Value.t, int) Hashtbl.t;  (** the store's one dictionary *)
+  mutable vals : Value.t array;  (** id -> value (append-only) *)
+  mutable n_vals : int;
   log : Delta.Log.t;  (** effective mutations; generation = log length *)
   memo :
-    (string * (int * Value.t) list * (int * int) list * int list, memo_entry)
+    (string * (int * int) list * (int * int) list * int list, memo_entry)
     Hashtbl.t;
 }
 
@@ -109,9 +113,6 @@ let create rels =
       Hashtbl.replace tbl name
         {
           arity;
-          intern = Hashtbl.create 64;
-          vals = [||];
-          n_vals = 0;
           cols = Array.make arity [||];
           cap = 0;
           live = Bytes.empty;
@@ -121,7 +122,14 @@ let create rels =
           distinct = Array.make arity 0;
         })
     rels;
-  { rels = tbl; log = Delta.Log.create (); memo = Hashtbl.create 64 }
+  {
+    rels = tbl;
+    intern = Hashtbl.create 256;
+    vals = [||];
+    n_vals = 0;
+    log = Delta.Log.create ();
+    memo = Hashtbl.create 64;
+  }
 
 let generation t = Delta.Log.length t.log
 
@@ -145,36 +153,36 @@ let arity t rel = (crel t rel).arity
 (* Dictionary                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let intern cr v =
-  match Hashtbl.find_opt cr.intern v with
+let intern t v =
+  match Hashtbl.find_opt t.intern v with
   | Some id -> id
   | None ->
-      let id = cr.n_vals in
-      if id = Array.length cr.vals then begin
+      let id = t.n_vals in
+      if id = Array.length t.vals then begin
         let grown = Array.make (max 16 (2 * id)) v in
-        Array.blit cr.vals 0 grown 0 id;
-        cr.vals <- grown
+        Array.blit t.vals 0 grown 0 id;
+        t.vals <- grown
       end;
-      cr.vals.(id) <- v;
-      cr.n_vals <- id + 1;
-      Hashtbl.replace cr.intern v id;
+      t.vals.(id) <- v;
+      t.n_vals <- id + 1;
+      Hashtbl.replace t.intern v id;
       Obs.Counter.incr c_interned;
       id
 
-(** [intern_id t rel v] — dictionary lookup without insertion; [None]
-    when [v] was never stored in [rel]. *)
-let intern_id t rel v = Hashtbl.find_opt (crel t rel).intern v
+(** [intern_id t v] — dictionary lookup without insertion; [None] when
+    [v] was never stored in any relation of [t]. *)
+let intern_id t v = Hashtbl.find_opt t.intern v
 
-(** [intern_value t rel id] — the value a dense id decodes to.
+(** [intern_value t id] — the value a dense id decodes to.
     @raise Invalid_argument on an id the dictionary never issued. *)
-let intern_value t rel id =
-  let cr = crel t rel in
-  if id < 0 || id >= cr.n_vals then
+let intern_value t id =
+  if id < 0 || id >= t.n_vals then
     invalid_arg "Columnar.intern_value: unknown id";
-  cr.vals.(id)
+  t.vals.(id)
 
-(** Number of dictionary entries of [rel] (ids are [0..size-1]). *)
-let dictionary_size t rel = (crel t rel).n_vals
+(** Number of dictionary entries of [t] (ids are [0..size-1]); it only
+    grows, since ids are never reclaimed. *)
+let dictionary_size t = t.n_vals
 
 (* ------------------------------------------------------------------ *)
 (* Posting lists                                                       *)
@@ -243,21 +251,21 @@ let inter (a : int array) alen (b : int array) blen =
 (* Row access                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let decode cr slot : Tuple.t =
+let decode t cr slot : Tuple.t =
   Obs.Counter.incr c_rows_decoded;
-  Array.init cr.arity (fun p -> cr.vals.(cr.cols.(p).(slot)))
+  Array.init cr.arity (fun p -> t.vals.(cr.cols.(p).(slot)))
 
 let is_live cr slot = Bytes.get cr.live slot = '\001'
 
 (* the slot holding [tu], found through the smallest posting list of
    its interned values; None when absent (or some value un-interned) *)
-let slot_of cr (tu : Tuple.t) =
+let slot_of t cr (tu : Tuple.t) =
   let exception Missing in
   try
     let vids =
       Array.map
         (fun v ->
-          match Hashtbl.find_opt cr.intern v with
+          match Hashtbl.find_opt t.intern v with
           | Some id -> id
           | None -> raise Missing)
         tu
@@ -295,7 +303,7 @@ let slot_of cr (tu : Tuple.t) =
 let mem t rel (tu : Tuple.t) =
   let cr = crel t rel in
   if Tuple.arity tu <> cr.arity then raise (Arity_mismatch rel);
-  slot_of cr tu <> None
+  slot_of t cr tu <> None
 
 (* [insert]/[delete] mutate the columns and report effectiveness
    without logging, so a batch [apply] can notify subscribers once;
@@ -357,7 +365,7 @@ let insert t rel (tu : Tuple.t) =
     cr.n_slots <- slot + 1;
     Array.iteri
       (fun p v ->
-        let vid = intern cr v in
+        let vid = intern t v in
         cr.cols.(p).(slot) <- vid;
         posting_append cr p vid slot)
       tu;
@@ -370,7 +378,7 @@ let insert t rel (tu : Tuple.t) =
 let delete t rel (tu : Tuple.t) =
   let cr = crel t rel in
   if Tuple.arity tu <> cr.arity then raise (Arity_mismatch rel);
-  match slot_of cr tu with
+  match slot_of t cr tu with
   | None -> false
   | Some slot ->
       Array.iteri (fun p _ -> posting_remove cr p cr.cols.(p).(slot) slot) tu;
@@ -421,7 +429,7 @@ let tuples t rel =
   let cr = crel t rel in
   let out = ref [] in
   for slot = 0 to cr.n_slots - 1 do
-    if is_live cr slot then out := decode cr slot :: !out
+    if is_live cr slot then out := decode t cr slot :: !out
   done;
   !out
 
@@ -445,7 +453,7 @@ let find t rel pos v =
   let cr = crel t rel in
   if pos < 0 || pos >= cr.arity then []
   else
-    match Hashtbl.find_opt cr.intern v with
+    match Hashtbl.find_opt t.intern v with
     | None -> []
     | Some vid -> (
         match posting_slots cr pos vid with
@@ -453,7 +461,7 @@ let find t rel pos v =
         | Some p ->
             let out = ref [] in
             for k = 0 to p.plen - 1 do
-              out := decode cr p.ids.(k) :: !out
+              out := decode t cr p.ids.(k) :: !out
             done;
             !out)
 
@@ -468,7 +476,7 @@ let find_matching t rel bindings =
         (fun (pos, v) ->
           if pos < 0 || pos >= cr.arity then raise Empty
           else
-            match Hashtbl.find_opt cr.intern v with
+            match Hashtbl.find_opt t.intern v with
             | None -> raise Empty
             | Some vid -> (
                 match posting_slots cr pos vid with
@@ -486,7 +494,7 @@ let find_matching t rel bindings =
         in
         let out = ref [] in
         for k = 0 to n - 1 do
-          out := decode cr slots.(k) :: !out
+          out := decode t cr slots.(k) :: !out
         done;
         !out
   with Empty -> []
@@ -496,7 +504,7 @@ let find_matching t rel bindings =
     relations are sets. *)
 let tuples_containing t rel v =
   let cr = crel t rel in
-  match Hashtbl.find_opt cr.intern v with
+  match Hashtbl.find_opt t.intern v with
   | None -> []
   | Some vid ->
       let slots = ref [] in
@@ -508,7 +516,7 @@ let tuples_containing t rel v =
               slots := p.ids.(k) :: !slots
             done
       done;
-      List.sort_uniq compare !slots |> List.rev_map (decode cr)
+      List.sort_uniq compare !slots |> List.rev_map (decode t cr)
 
 (* ------------------------------------------------------------------ *)
 (* Engine pushdown: select-project with memoized results               *)
@@ -517,20 +525,23 @@ let tuples_containing t rel v =
 (** [select_project t rel ~consts ~eqs ~project] evaluates one whole
     pattern scan inside the engine:
     [π_project (σ_{consts ∧ eqs} rel)], deduplicated — where [consts]
-    are [(column, value)] equality predicates, [eqs] are
-    [(column, column)] equalities (repeated variables) and [project]
-    lists the output columns. Selection on constants runs as a
-    posting-list intersection (no row is visited that fails an indexed
-    predicate); repeated-variable checks and projection are int
-    operations on the columns; deduplication keys on projected value
-    ids. Returns [(rows, examined)] where [examined] counts the rows
-    the engine actually visited — what the semi-join kernel reports
-    as [algebra.semijoin.rows_scanned].
+    are [(column, value id)] equality predicates (ids from
+    {!intern_id}), [eqs] are [(column, column)] equalities (repeated
+    variables) and [project] lists the output columns. Selection on
+    constants runs as a posting-list intersection (no row is visited
+    that fails an indexed predicate); repeated-variable checks,
+    projection and deduplication are int operations on the columns.
+    Returns [(rows, examined)]: [rows] are {e id rows} — row [r] holds
+    the value id of column [List.nth project k] at [r.(k)], never
+    decoded — and [examined] counts the rows the engine actually
+    visited, what the semi-join kernel reports as
+    [algebra.semijoin.rows_scanned].
 
     Results are memoized per (query, generation): while the data does
     not move, a repeated scan returns the materialized result with
-    [examined = 0]. Returns [None] only for an unknown relation or an
-    out-of-range column. *)
+    [examined = 0]. Ids are never reclaimed, so compaction leaves every
+    memoized result valid. Returns [None] only for an unknown relation
+    or an out-of-range column. *)
 let select_project t rel ~consts ~eqs ~project =
   match Hashtbl.find_opt t.rels rel with
   | None -> None
@@ -568,13 +579,10 @@ let select_project t rel ~consts ~eqs ~project =
                 | _ ->
                     let posts =
                       List.map
-                        (fun (c, v) ->
-                          match Hashtbl.find_opt cr.intern v with
+                        (fun (c, vid) ->
+                          match posting_slots cr c vid with
                           | None -> raise Empty
-                          | Some vid -> (
-                              match posting_slots cr c vid with
-                              | None -> raise Empty
-                              | Some p -> p))
+                          | Some p -> p)
                         consts
                     in
                     let sorted =
@@ -589,18 +597,17 @@ let select_project t rel ~consts ~eqs ~project =
               with Empty -> ([||], 0)
             in
             let slots, n = candidates in
+            let proj = Array.of_list (List.map (fun c -> cr.cols.(c)) project) in
             let seen = Hashtbl.create 64 in
             let rows = ref [] in
             for k = 0 to n - 1 do
               let slot = slots.(k) in
               if List.for_all (fun (a, b) -> cr.cols.(a).(slot) = cr.cols.(b).(slot)) eqs
               then begin
-                let pkey = List.map (fun c -> cr.cols.(c).(slot)) project in
-                if not (Hashtbl.mem seen pkey) then begin
-                  Hashtbl.replace seen pkey ();
-                  rows :=
-                    Array.of_list (List.map (fun c -> cr.vals.(cr.cols.(c).(slot))) project)
-                    :: !rows
+                let row = Array.map (fun col -> col.(slot)) proj in
+                if not (Hashtbl.mem seen row) then begin
+                  Hashtbl.replace seen row ();
+                  rows := row :: !rows
                 end
               end
             done;
@@ -634,8 +641,8 @@ let of_instance inst =
 (** [consistent t] checks every derived structure against a
     from-scratch rebuild of the live rows: postings hold exactly the
     live slots of their (position, value), sorted; [distinct] counts
-    the non-empty postings; [count] matches the live bitmap; the
-    dictionary round-trips. *)
+    the non-empty postings; [count] matches the live bitmap; every
+    column holds issued ids; the store's one dictionary round-trips. *)
 let consistent t =
   Hashtbl.fold
     (fun _rel cr acc ->
@@ -657,8 +664,8 @@ let consistent t =
       cr.count = List.length !live_slots
       && Hashtbl.length expected = Hashtbl.length cr.postings
       && Hashtbl.fold
-           (fun key slots ok ->
-             ok
+           (fun ((_, vid) as key) slots ok ->
+             ok && vid >= 0 && vid < t.n_vals
              &&
              match Hashtbl.find_opt cr.postings key with
              | Some p ->
@@ -671,18 +678,18 @@ let consistent t =
                 cr.distinct.(p)
                 = Hashtbl.fold
                     (fun (q, _) _ n -> if q = p then n + 1 else n)
-                    cr.postings 0))
-      && Hashtbl.fold
-           (fun v id ok -> ok && id < cr.n_vals && Value.equal cr.vals.(id) v)
-           cr.intern true
-      && Hashtbl.length cr.intern = cr.n_vals)
+                    cr.postings 0)))
     t.rels true
+  && Hashtbl.fold
+       (fun v id ok -> ok && id < t.n_vals && Value.equal t.vals.(id) v)
+       t.intern true
+  && Hashtbl.length t.intern = t.n_vals
 
 let pp ppf t =
+  Fmt.pf ppf "%d dictionary entries@." (dictionary_size t);
   List.iter
     (fun rel ->
-      Fmt.pf ppf "@[<v2>%s (%d tuples, %d dict entries):@,%a@]@." rel
-        (cardinality t rel) (dictionary_size t rel)
+      Fmt.pf ppf "@[<v2>%s (%d tuples):@,%a@]@." rel (cardinality t rel)
         Fmt.(list ~sep:cut Tuple.pp)
         (tuples t rel))
     (relation_names t)

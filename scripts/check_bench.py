@@ -25,6 +25,10 @@ subsumption engine's logic.subsume.restarts, legitimately zero when no
 test exhausts its budget — with --require-present; counters that must
 stay at exactly zero — e.g. ilp.coverage.full_refreshes on the
 incremental experiment's non-target tuple stream — with --require-zero.
+Two orderings within the current dump are machine independent and can
+be gated too: --require-less A:B on counters, --require-faster A:B on
+span totals (e.g. the coverage_batch experiment's batched pass against
+its subsumption pass).
 
 When both dumps carry the coverage-cache counters (ilp.cache_hits and
 ilp.coverage.cache_misses), the cache hit rate is also compared: a
@@ -177,6 +181,15 @@ def main():
         "current run (both must be recorded) — e.g. the cyclic kernel's "
         "rows and seeks must stay below subsumption's steps and scans",
     )
+    ap.add_argument(
+        "--require-faster",
+        action="append",
+        default=[],
+        metavar="A:B",
+        help="fail unless span A's total time is strictly below span B's in "
+        "the current run (both must be recorded) — a time ratio, unlike the "
+        "absolute latency tolerance, holds across machines",
+    )
     args = ap.parse_args()
 
     if args.merge_into:
@@ -210,20 +223,25 @@ def check_one(path, args):
                 f"counter {name} must be zero but is {cur_counters[name]}"
             )
 
-    for pair in args.require_less:
-        a, sep, b = pair.rpartition(":")
-        if not sep or not a:
-            problems.append(f"--require-less {pair!r} is not of the form A:B")
-            continue
-        if a not in cur_counters or b not in cur_counters:
-            missing = ", ".join(n for n in (a, b) if n not in cur_counters)
-            problems.append(f"--require-less {pair}: counter(s) missing: {missing}")
-            continue
-        if not cur_counters[a] < cur_counters[b]:
-            problems.append(
-                f"counter {a} ({cur_counters[a]}) is not strictly below "
-                f"{b} ({cur_counters[b]})"
-            )
+    span_totals = {n: s.get("total_s") or 0.0 for n, s in cur_spans.items()}
+    for flag, pairs, values, kind in (
+        ("--require-less", args.require_less, cur_counters, "counter"),
+        ("--require-faster", args.require_faster, span_totals, "span"),
+    ):
+        for pair in pairs:
+            a, sep, b = pair.rpartition(":")
+            if not sep or not a:
+                problems.append(f"{flag} {pair!r} is not of the form A:B")
+                continue
+            if a not in values or b not in values:
+                missing = ", ".join(n for n in (a, b) if n not in values)
+                problems.append(f"{flag} {pair}: {kind}(s) missing: {missing}")
+                continue
+            if not values[a] < values[b]:
+                problems.append(
+                    f"{kind} {a} ({values[a]}) is not strictly below "
+                    f"{b} ({values[b]})"
+                )
 
     base_rate, cur_rate = hit_rate(base_counters), hit_rate(cur_counters)
     if base_rate is not None and cur_rate is not None:

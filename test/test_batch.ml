@@ -614,6 +614,144 @@ let armg_suite =
         true);
   ]
 
+(* ---------------- values that print alike -------------------------- *)
+
+(* The kernel compares dictionary ids, subsumption compares values:
+   they must agree however the values print and whichever relation
+   first interned them. Constant [(k, kind)] is [Int k], [Str "k"] or
+   [Str "k, k+1"]: the first two print alike, and the separator makes
+   [(Str "1, 2", Int 3)] print like [(Int 1, Str "2, 3")]. *)
+let alike (k, kind) =
+  match kind with
+  | 0 -> Value.int k
+  | 1 -> Value.str (string_of_int k)
+  | _ -> Value.str (Printf.sprintf "%d, %d" k (k + 1))
+
+let alike_pool =
+  List.concat_map (fun k -> List.init 3 (fun kind -> alike (k, kind))) [ 0; 1; 2; 3 ]
+
+let alike_rels = [ "r0"; "r1"; "r2" ]
+
+(* [n_rels] relations (2 or 3) over shared values, and one example
+   t(v) per value of the pool *)
+let alike_problem (n_rels, facts) =
+  let rels = List.filteri (fun i _ -> i < n_rels) alike_rels in
+  let schema =
+    Schema.make
+      (List.map
+         (fun r -> Schema.relation r [ at ~domain:"d" "x"; at ~domain:"d" "y" ])
+         rels)
+  in
+  let inst = Instance.create schema in
+  List.iter
+    (fun (r, x, y) ->
+      Instance.add inst (List.nth rels (r mod n_rels))
+        (Tuple.of_list [ alike x; alike y ]))
+    facts;
+  let examples =
+    Array.of_list
+      (List.map (fun v -> Atom.of_tuple "t" (Tuple.of_list [ v ])) alike_pool)
+  in
+  (rels, inst, examples)
+
+let alike_gen =
+  QCheck2.Gen.(
+    let value = pair (int_bound 3) (int_bound 2) in
+    pair (int_range 2 3)
+      (list_size (int_range 4 24) (triple (int_bound 2) value value)))
+
+let alike_suite =
+  [
+    qt ~count:40
+      "kernel answers do not depend on how values print or which relation \
+       interned them"
+      alike_gen
+      (fun problem ->
+        let rels, inst, examples = alike_problem problem in
+        let params = Bottom.default_params in
+        let cov = Coverage.build ~params inst examples in
+        Coverage.set_cache cov false;
+        Coverage.set_batch cov true;
+        let store = Option.get (Coverage.store cov) in
+        let eids = Array.init (Array.length examples) Fun.id in
+        let prefixes =
+          candidates inst params examples (Array.length examples)
+        in
+        (* one constant per body literal: t(A) :- r(A, v) for every v *)
+        let with_consts =
+          List.concat_map
+            (fun r ->
+              List.map
+                (fun v ->
+                  Clause.make
+                    (Atom.make "t" [ va "A" ])
+                    [ Atom.make r [ va "A"; Term.Const v ] ])
+                alike_pool)
+            rels
+        in
+        let clauses =
+          prefixes @ List.filter_map Planner.close_cycle prefixes @ with_consts
+        in
+        List.for_all
+          (fun clause ->
+            let reference =
+              Array.map (Subsume.subsumes clause) cov.Coverage.bottoms
+            in
+            Coverage.vector cov clause = reference
+            && Algebra.semijoin_batch store ~patterns:(patterns_of clause) ~eids
+               = reference)
+          clauses);
+    tc "a pattern constant absent from the store covers nothing" (fun () ->
+        let _, inst, examples =
+          alike_problem (2, [ (0, (1, 0), (2, 1)); (1, (2, 1), (3, 2)) ])
+        in
+        let cov = Coverage.build ~params:Bottom.default_params inst examples in
+        let store = Option.get (Coverage.store cov) in
+        let absent = Value.str "never stored" in
+        check Alcotest.(option int) "not in the dictionary" None
+          (Columnar.intern_id store absent);
+        let clause =
+          Clause.make
+            (Atom.make "t" [ va "A" ])
+            [ Atom.make "r0" [ va "A"; Term.Const absent ] ]
+        in
+        let none = Array.make (Array.length examples) false in
+        check Alcotest.(array bool) "direct kernel" none
+          (Algebra.semijoin_batch store ~patterns:(patterns_of clause)
+             ~eids:(Array.init (Array.length examples) Fun.id));
+        let vb, vs = both cov clause in
+        check Alcotest.(list bool) "batching on" (Array.to_list none) vb;
+        check Alcotest.(list bool) "batching off" (Array.to_list none) vs);
+    tc "p(X,5) and p(X,\"5\") select different rows" (fun () ->
+        let inst = Instance.create pq_schema in
+        let c i = Value.str (Printf.sprintf "c%d" i) in
+        Instance.add inst "p" (Tuple.of_list [ c 0; Value.int 5 ]);
+        Instance.add inst "p" (Tuple.of_list [ c 1; Value.str "5" ]);
+        let examples =
+          Array.init 2 (fun i -> Atom.of_tuple "t" (Tuple.of_list [ c i ]))
+        in
+        let cov = Coverage.build ~params:Bottom.default_params inst examples in
+        let store = Option.get (Coverage.store cov) in
+        List.iter
+          (fun (label, v, expected) ->
+            let clause =
+              Clause.make
+                (Atom.make "t" [ va "A" ])
+                [ Atom.make "p" [ va "A"; Term.Const v ] ]
+            in
+            check Alcotest.(list bool) (label ^ ": direct kernel") expected
+              (Array.to_list
+                 (Algebra.semijoin_batch store ~patterns:(patterns_of clause)
+                    ~eids:[| 0; 1 |]));
+            let vb, vs = both cov clause in
+            check Alcotest.(list bool) (label ^ ": batching on") expected vb;
+            check Alcotest.(list bool) (label ^ ": batching off") expected vs)
+          [
+            ("p(X,5)", Value.int 5, [ true; false ]);
+            ("p(X,\"5\")", Value.str "5", [ false; true ]);
+          ]);
+  ]
+
 let suite =
   family_suite @ random_suite @ forest_suite @ kernel_cyclic_suite
-  @ edge_suite @ mutation_suite @ armg_suite
+  @ edge_suite @ mutation_suite @ armg_suite @ alike_suite

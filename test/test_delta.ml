@@ -331,5 +331,83 @@ let stream_suite =
       (fun seed -> differential seed ~interleave:true);
   ]
 
+(* ---------------- prepared bottom clauses --------------------------- *)
+
+let copy_instance inst =
+  let schema = Instance.schema inst in
+  let out = Instance.create schema in
+  List.iter
+    (fun (r : Schema.relation) ->
+      List.iter (Instance.add out r.Schema.rname)
+        (Instance.tuples inst r.Schema.rname))
+    schema.Schema.relations;
+  out
+
+(* With batching and the memo off every test is a subsumption search
+   on a prepared bottom clause. The structure under test prepares every
+   example before the stream, so an entry the refresh forgot to reset
+   would answer from the old saturation. Returns whether the stream
+   re-saturated an example into a different bottom clause, and whether
+   every answer — vectors on worker domains, then vectors and single
+   [covers] tests sequentially — equals a from-scratch build on a
+   copy of the mutated instance. *)
+let prepared_after_stream seed =
+  let params = Bottom.default_params in
+  let inst, examples = random_problem seed in
+  let n = Array.length examples in
+  let subsumption_only cov =
+    Coverage.set_batch cov false;
+    Coverage.set_cache cov false;
+    cov
+  in
+  let cov = subsumption_only (Coverage.build ~params inst examples) in
+  let cands = candidates inst params examples 3 in
+  let vectors cov =
+    List.map (fun cl -> Array.to_list (Coverage.vector cov cl)) cands
+  in
+  let covers cov =
+    List.map (fun cl -> List.init n (Coverage.covers cov cl)) cands
+  in
+  ignore (vectors cov);
+  let before = Array.copy cov.Coverage.bottoms in
+  let ex_t = Examples.make ~pos:(Array.to_list examples) ~neg:[] in
+  let stream = Examples.mutation_stream ~seed:(seed + 1) ~length:10 inst ex_t in
+  let b = Backend.of_instance inst in
+  List.iter (fun d -> Backend.apply b [ d ]) stream;
+  let fresh =
+    subsumption_only (Coverage.build ~params (copy_instance inst) examples)
+  in
+  let expected = vectors fresh in
+  Coverage.set_domains cov 2;
+  Coverage.set_force_parallel cov true;
+  let parallel = vectors cov in
+  Coverage.set_domains cov 1;
+  Coverage.set_force_parallel cov false;
+  let moved =
+    Array.exists2
+      (fun (a : Clause.t) (b : Clause.t) ->
+        not (List.equal Atom.equal a.Clause.body b.Clause.body))
+      before cov.Coverage.bottoms
+  in
+  ( moved,
+    parallel = expected && vectors cov = expected && covers cov = covers fresh )
+
+let prepared_suite =
+  [
+    tc "prepared bottom clauses never go stale under adds and removes"
+      (fun () ->
+        let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+        let results = List.map prepared_after_stream seeds in
+        check Alcotest.bool "some saturation changed" true
+          (List.exists fst results);
+        List.iter2
+          (fun seed (_, ok) ->
+            check Alcotest.bool
+              (Fmt.str "seed %d: answers == rebuilt on a copy" seed)
+              true ok)
+          seeds results);
+  ]
+
 let suite =
   substrate_suite @ view_suite @ planner_suite @ online_suite @ stream_suite
+  @ prepared_suite

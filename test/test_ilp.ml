@@ -575,6 +575,47 @@ let stats_suite =
         check Alcotest.int "one hit" 1 (Stats.snapshot ()).Stats.cache_hits);
   ]
 
+(* Saturation dedups admitted tuples on (relation, tuple): r(e,5) and
+   r(e,"5"), or s(e,"a, b","c") and s(e,"a","b, c"), print alike but
+   are four distinct facts. *)
+let print_alike_suite =
+  [
+    tc "saturation keeps distinct tuples that print alike" (fun () ->
+        let at = Schema.attribute ~domain:"d" in
+        let schema =
+          Schema.make
+            [
+              Schema.relation "r" [ at "x"; at "y" ];
+              Schema.relation "s" [ at "x"; at "y"; at "z" ];
+            ]
+        in
+        let inst = Instance.create schema in
+        let e = Value.str "e" in
+        let facts =
+          [
+            ("r", [ e; Value.int 5 ]);
+            ("r", [ e; Value.str "5" ]);
+            ("s", [ e; Value.str "a, b"; Value.str "c" ]);
+            ("s", [ e; Value.str "a"; Value.str "b, c" ]);
+          ]
+        in
+        List.iter (fun (rel, vs) -> Instance.add inst rel (Tuple.of_list vs)) facts;
+        let sat =
+          Bottom.saturation ~params:Bottom.default_params inst
+            (Atom.of_tuple "t" (Tuple.of_list [ e ]))
+        in
+        List.iteri
+          (fun i (rel, vs) ->
+            let lit = Atom.of_tuple rel (Tuple.of_list vs) in
+            check Alcotest.bool
+              (Fmt.str "fact %d, %s, present" i (Atom.to_string lit))
+              true
+              (List.exists (Atom.equal lit) sat.Clause.body))
+          facts;
+        check Alcotest.int "no other literal" 4 (List.length sat.Clause.body));
+  ]
+
 let suite =
   examples_suite @ bottom_suite @ coverage_suite @ parallel_suite
   @ scoring_suite @ covering_suite @ armg_suite @ negreduce_suite @ stats_suite
+  @ print_alike_suite

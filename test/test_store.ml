@@ -137,11 +137,11 @@ let columnar_suite =
            rows but never reclaim dictionary ids *)
         List.for_all
           (fun v ->
-            match Columnar.intern_id c "r" v with
+            match Columnar.intern_id c v with
             | None -> false
-            | Some id -> Value.equal v (Columnar.intern_value c "r" id))
+            | Some id -> Value.equal v (Columnar.intern_value c id))
           seen
-        && Columnar.dictionary_size c "r" = List.length seen
+        && Columnar.dictionary_size c = List.length seen
         && Columnar.consistent c);
     qt ~count:200 "columnar access paths agree with the replayed model"
       ops_gen
