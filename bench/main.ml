@@ -554,10 +554,13 @@ let incremental () =
     effective t_inc t_rebuild;
   Fmt.pr
     "full refreshes %d (the online-update promise is zero), deltas applied \
-     %d, examples re-saturated %d, cached vectors patched %d@."
+     %d, examples re-saturated %d (%d unchanged), saturations still \
+     truncated %d, cached vectors patched %d@."
     (Obs.Counter.value Castor_ilp.Coverage.c_full_refreshes)
     (Obs.Counter.value Castor_ilp.Coverage.c_delta_applied)
     (Obs.Counter.value Castor_ilp.Coverage.c_delta_rounds)
+    (Obs.Counter.value Castor_ilp.Coverage.c_unchanged)
+    (Obs.Counter.value Castor_ilp.Bottom.c_truncated)
     (Obs.Counter.value Castor_ilp.Coverage.c_cache_patches)
 
 (* ------------------------------------------------------------------ *)

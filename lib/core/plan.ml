@@ -55,14 +55,23 @@ let chase_links t rel = Option.value ~default:[] (Hashtbl.find_opt t.chase rel)
     Proposition 7.4). Without the once-per-relation rule the chase
     would wander the data graph transitively (director → movie →
     another director → ...) and drag in unrelated rows. Up to
-    [join_limit] partners are fetched per link per tuple. *)
+    [join_limit] partners are fetched per link per tuple.
+
+    Every value a join probe binds is reported to the running
+    saturation's probe recorder ({!Castor_ilp.Bottom.note_probe}):
+    a delta can change a probe's answer only if its tuple holds those
+    values, so they belong to the saturation's probe set. (A link
+    over zero attributes would read its whole relation, which no
+    value covers; decompositions and IND discovery never declare
+    one.) *)
 let expand t inst rel (tuple : Tuple.t) =
   (* the chase's join probes read through the backend seam, like every
      other clause-evaluation path *)
   let module B = (val Backend.of_instance inst : Backend.S) in
-  let seen = Hashtbl.create 16 in
-  let key r tu = r ^ Fmt.str "%a" Tuple.pp tu in
-  Hashtbl.replace seen (key rel tuple) ();
+  (* keyed on the tuple itself: a printed key would merge s(k,5) with
+     s(k,"5"), and s(k,"a, b","c") with s(k,"a","b, c") *)
+  let seen : (string * Tuple.t, unit) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.replace seen (rel, tuple) ();
   let out = ref [] in
   let fetched : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
   Hashtbl.replace fetched rel (ref [ tuple ]);
@@ -102,13 +111,14 @@ let expand t inst rel (tuple : Tuple.t) =
             let bindings =
               List.map2 (fun sp dp -> (dp, tu.(sp))) cl.src_pos cl.dst_pos
             in
+            List.iter (fun (_, v) -> Castor_ilp.Bottom.note_probe v) bindings;
             let matches = B.find_matching d bindings in
             let rec take n = function
               | [] -> ()
               | m :: rest ->
                   if n <= 0 then ()
                   else begin
-                    let k = key d m in
+                    let k = (d, m) in
                     if not (Hashtbl.mem seen k) then begin
                       Hashtbl.replace seen k ();
                       out := (d, m) :: !out;

@@ -11,6 +11,14 @@
     (Section 7.1): whenever a tuple is admitted, [expand] may return
     further (relation, tuple) pairs to admit in the same iteration.
 
+    {e Probe sets.} A saturation is a deterministic function of the
+    answers to two kinds of read: [tuples_containing rel v] for every
+    constant [v] it looks up, and the data probes of its [expand]
+    hook. {!saturation_with_probes} also returns the values those
+    reads were keyed on — every constant looked up, plus every value
+    the hook reports through {!note_probe} — so that
+    {!Coverage} can tell which deltas cannot reach a bottom clause.
+
     Stopping conditions: [depth] bounds the number of iterations (the
     classic parameter); [max_terms] bounds the number of distinct
     constants, which is Castor's schema-independent stop condition
@@ -81,6 +89,26 @@ let group_key (lits : Atom.t list) =
 (** Retries of a [max_terms]-truncated saturation with a doubled
     budget (see {!saturation}). *)
 let c_budget_growths = Obs.Counter.create "ilp.saturation.budget_growths"
+
+(** Saturations still truncated after the last budget doubling: their
+    constant set may differ across (de)compositions, so Lemma 7.5 does
+    not cover them. *)
+let c_truncated = Obs.Counter.create "ilp.saturation.truncated"
+
+(* The probe recorder of the saturation running on this domain, if
+   any; {!saturation_with_probes} installs one for its own duration. *)
+let probe_recorder : (Value.t, unit) Hashtbl.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(** [note_probe v] reports that the running saturation read data
+    keyed on [v]. An [expand] hook that reads the database must report
+    every value it binds a probe on ({!Castor_core.Plan.expand} does),
+    or {!Coverage} may miss a delta that changes the saturation. A
+    no-op outside {!saturation_with_probes}. *)
+let note_probe v =
+  match Domain.DLS.get probe_recorder with
+  | Some seen -> Hashtbl.replace seen v ()
+  | None -> ()
 
 (* how many times a truncated saturation's budget may double before we
    accept the cut — 3 doublings = 8× the configured budget *)
@@ -161,6 +189,7 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
        (* canonical frontier order: by constant value *)
        let in_play = List.sort Value.compare !pending_constants in
        pending_constants := [];
+       List.iter note_probe in_play;
        let groups = ref [] in
        List.iter
          (fun v ->
@@ -240,7 +269,8 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
     frontier work remaining is retried from scratch with the budget
     doubled, up to {!max_budget_growths} times or until it completes
     untruncated; retries are counted under
-    [ilp.saturation.budget_growths]. *)
+    [ilp.saturation.budget_growths], and a saturation still cut after
+    the last doubling under [ilp.saturation.truncated]. *)
 let saturation ?(expand = fun _ _ -> []) ?backend ~params inst (e : Atom.t) =
   Obs.Span.with_span span_saturation @@ fun () ->
   Obs.Counter.incr Stats.c_saturations;
@@ -250,9 +280,34 @@ let saturation ?(expand = fun _ _ -> []) ?backend ~params inst (e : Atom.t) =
     | Some m when truncated && growths < max_budget_growths ->
         Obs.Counter.incr c_budget_growths;
         go { params with max_terms = Some (2 * m) } (growths + 1)
-    | _ -> clause
+    | _ ->
+        if truncated then Obs.Counter.incr c_truncated;
+        clause
   in
   go params 0
+
+(** [saturation_with_probes ?expand ?backend ~params inst e] is
+    [saturation] together with its probe set: the distinct values its
+    data reads were keyed on, over every budget attempt, sorted.
+
+    A delta tuple can change the answer of [tuples_containing rel v]
+    only if it holds [v], and the answer of a chase probe only if it
+    holds every bound value. So when no tuple of a delta batch holds a
+    probe value, every read of every attempt answers as before, each
+    attempt takes the same path, and the saturation — probe set
+    included — is unchanged. *)
+let saturation_with_probes ?expand ?backend ~params inst e =
+  let seen = Hashtbl.create 64 in
+  let outer = Domain.DLS.get probe_recorder in
+  Domain.DLS.set probe_recorder (Some seen);
+  let clause =
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set probe_recorder outer)
+      (fun () -> saturation ?expand ?backend ~params inst e)
+  in
+  let probes = Array.of_seq (Hashtbl.to_seq_keys seen) in
+  Array.sort Value.compare probes;
+  (clause, probes)
 
 (** [variabilize ~schema ~params c] replaces constants by variables
     (one fresh variable per distinct constant), except at positions

@@ -31,12 +31,12 @@
     thousands of candidates, so each example's bottom clause is grouped
     by relation once ({!Subsume.prepare}), on its first subsumption
     test — never in [build], which does no such set-up work. An entry
-    is reset wherever its bottom clause changes: per re-saturated
-    example by an incremental refresh, for every example by a full
-    refresh, and [sub] starts with none. Only the calling domain fills
-    entries: before fanning out, {!compute_positions} resolves the
-    targets of its positions, and the worker closures capture that
-    immutable array.
+    is reset wherever its bottom clause changes: by an incremental
+    refresh, per example whose re-saturation changed it; by a full
+    refresh, for every example; and [sub] starts with none. Only the
+    calling domain fills entries: before fanning out,
+    {!compute_positions} resolves the targets of its positions, and
+    the worker closures capture that immutable array.
 
     {2 Online updates}
 
@@ -44,12 +44,18 @@
     ({!Backend.subscribe}). When the source mutates, the next coverage
     query drains the pending deltas and {e patches} itself instead of
     rebuilding: the private saturation substrate absorbs the batch
-    ([Backend.apply]), only the examples whose neighborhood shares a
-    constant with a delta tuple are re-saturated, their facts are
+    ([Backend.apply]), and only the examples whose {e probe set} holds
+    a value of a delta tuple are re-saturated. The probe set of an
+    example is what its saturation read the data on — every constant
+    it looked up and every value the IND chase bound a probe on
+    ({!Bottom.saturation_with_probes}) — so a delta holding none of
+    them cannot change its bottom clause. A re-saturation that returns
+    the same clause changes nothing and is counted under
+    [ilp.saturation.unchanged]; a changed one has its facts
     add/removed in place inside the eid-keyed example store, and
-    memoized vectors are lazily re-tested at exactly the patched
-    example positions. A full rebuild survives only as a fallback —
-    when a delta touches the target relation (retracting or creating
+    memoized vectors are lazily re-tested at exactly those example
+    positions. A full rebuild survives only as a fallback — when a
+    delta touches the target relation (retracting or creating
     label support) or when the delta log cannot account for the whole
     generation gap — counted separately under
     [ilp.coverage.full_refreshes]. *)
@@ -60,15 +66,20 @@ module Obs = Castor_obs.Obs
 
 (* One memoized coverage vector. [egen] is the source generation the
    bits are valid at; an entry left behind by an incremental refresh
-   is patched lazily (only the positions the refresh re-saturated are
-   re-tested) instead of being thrown away. *)
+   is patched lazily (only the positions whose bottom clause the
+   refresh changed are re-tested) instead of being thrown away. *)
 type entry = { mutable egen : int; ev : bool array }
 
 type t = {
   examples : Atom.t array;
   mutable bottoms : Clause.t array;
-      (** ground bottom clause per example; patched (affected examples
+      (** ground bottom clause per example; patched (changed examples
           only) or rebuilt by {!refresh} when the source mutates *)
+  mutable probes : Value.t array array;
+      (** per example, the probe set of its saturation: the distinct
+          values its data reads were keyed on
+          ({!Bottom.saturation_with_probes}); {!affected_positions}
+          tests delta tuples against these *)
   mutable prepared : Subsume.prepared option array;
       (** per example, its bottom clause grouped by relation for the
           subsumption route ({!Subsume.prepare}); filled on the
@@ -111,10 +122,10 @@ type t = {
       (** deltas the subscription delivered since [src_gen], newest
           first; drained by {!refresh} *)
   mutable dirty_log : (int * int array) list;
-      (** incremental-refresh history, newest first: [(gen, affected)]
-          records that reaching generation [gen] re-saturated exactly
-          the local positions [affected] — what lazy cache patching
-          replays *)
+      (** incremental-refresh history, newest first: [(gen, changed)]
+          records that reaching generation [gen] changed the bottom
+          clauses at exactly the local positions [changed] — what lazy
+          cache patching replays *)
   mutable log_floor : int;
       (** generation below which the retained [dirty_log] no longer
           covers history; entries with [egen < log_floor] cannot be
@@ -175,10 +186,14 @@ let example_store inst (examples : Atom.t array)
     end
   end
 
+(* Bottom clauses and probe sets of every example. *)
 let saturate_all ?expand ~params ~backend inst examples =
-  Array.map
-    (fun e -> Bottom.saturation ?expand ~backend ~params inst e)
-    examples
+  let sats =
+    Array.map
+      (fun e -> Bottom.saturation_with_probes ?expand ~backend ~params inst e)
+      examples
+  in
+  (Array.map fst sats, Array.map snd sats)
 
 let mean_bottom_len (bottoms : Clause.t array) =
   let n = Array.length bottoms in
@@ -194,18 +209,23 @@ let mean_bottom_len (bottoms : Clause.t array) =
     saturations of [examples] over a columnar snapshot of [inst] and
     loads them into the example store the batched coverage kernel runs
     against. The structure subscribes to [inst]'s delta stream, so
-    later mutations are absorbed incrementally. *)
+    later mutations are absorbed incrementally; that stays exact only
+    if [expand] reports every value its data probes bind through
+    {!Bottom.note_probe}, as {!Castor_core.Plan.expand} does. *)
 let build ?expand ~params ?(max_steps = 250_000) inst
     (examples : Atom.t array) =
   let source = Backend.of_instance inst in
   let data = Backend.load Backend.default_spec inst in
-  let bottoms = saturate_all ?expand ~params ~backend:data inst examples in
+  let bottoms, probes =
+    saturate_all ?expand ~params ~backend:data inst examples
+  in
   let pending = ref [] in
   Backend.subscribe source (fun ds -> pending := List.rev_append ds !pending);
   let src_gen = Backend.generation source in
   {
     examples;
     bottoms;
+    probes;
     prepared = Array.make (Array.length bottoms) None;
     avg_bottom_len = mean_bottom_len bottoms;
     max_steps;
@@ -265,6 +285,10 @@ let c_delta_applied = Obs.Counter.create "ilp.coverage.delta_applied"
 (** Per-example incremental re-saturations triggered by deltas. *)
 let c_delta_rounds = Obs.Counter.create "ilp.saturation.delta_rounds"
 
+(** Of those, the ones that rebuilt the identical bottom clause and so
+    left the example store, the prepared entry and the memo alone. *)
+let c_unchanged = Obs.Counter.create "ilp.saturation.unchanged"
+
 (** Memoized vectors lazily re-tested at patched positions only. *)
 let c_cache_patches = Obs.Counter.create "ilp.coverage.cache_patches"
 
@@ -283,9 +307,12 @@ let full_refresh t gen =
   Obs.Counter.incr c_full_refreshes;
   let data = Backend.load Backend.default_spec t.inst in
   t.data <- data;
-  t.bottoms <-
+  let bottoms, probes =
     saturate_all ?expand:t.expand ~params:t.params ~backend:data t.inst
-      t.examples;
+      t.examples
+  in
+  t.bottoms <- bottoms;
+  t.probes <- probes;
   t.prepared <- Array.make (Array.length t.bottoms) None;
   t.avg_bottom_len <- mean_bottom_len t.bottoms;
   t.ex_store <- example_store t.inst t.examples t.bottoms;
@@ -321,53 +348,54 @@ let patch_ex_store t i (old_b : Clause.t) (new_b : Clause.t) =
       put new_b.Clause.head;
       List.iter put new_b.Clause.body
 
-(* Conservative affectedness: example [i]'s saturation can only change
-   if a delta tuple shares a constant with its current neighborhood.
-   Sound in both directions: an added tuple enters the neighborhood
-   only through a lookup on an in-neighborhood constant (so it shares
-   one), and a removed tuple can only have participated in such a
-   lookup if it mentions an in-neighborhood constant — bottoms are
-   ground, so "neighborhood constants" is exactly the constants of
-   the bottom clause (head included). *)
+(* Affectedness from probe sets: example [i]'s saturation can only
+   change if some delta tuple holds a value of its probe set (see
+   {!Bottom.saturation_with_probes} for why that is sound, for a whole
+   batch and across budget growths). Constants that only sit in the
+   bottom clause — values at non-expandable positions, constants first
+   seen at the last depth — were never read on, so a delta holding
+   them cannot reach it. *)
 let affected_positions t ds =
   let dvals : (Value.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun d -> Array.iter (fun v -> Hashtbl.replace dvals v ()) (Delta.tuple d))
     ds;
-  let atom_touched (a : Atom.t) =
-    Array.exists
-      (function Term.Const v -> Hashtbl.mem dvals v | Term.Var _ -> false)
-      a.Atom.args
+  List.filter
+    (fun i -> Array.exists (Hashtbl.mem dvals) t.probes.(i))
+    (List.init (Array.length t.probes) Fun.id)
+
+(* Re-saturate example [i] and report whether its bottom clause
+   changed. The probe set is replaced either way (the reads may have
+   moved while the clause did not); an identical clause leaves the
+   example store, the prepared entry and the memo alone. *)
+let resaturate t i =
+  Obs.Counter.incr c_delta_rounds;
+  let old_b = t.bottoms.(i) in
+  let new_b, probes =
+    Bottom.saturation_with_probes ?expand:t.expand ~backend:t.data
+      ~params:t.params t.inst t.examples.(i)
   in
-  let clause_touched (c : Clause.t) =
-    atom_touched c.Clause.head || List.exists atom_touched c.Clause.body
-  in
-  Array.of_list
-    (List.filter
-       (fun i -> clause_touched t.bottoms.(i))
-       (List.init (Array.length t.bottoms) Fun.id))
+  t.probes.(i) <- probes;
+  if Clause.equal old_b new_b then begin
+    Obs.Counter.incr c_unchanged;
+    false
+  end
+  else begin
+    t.bottoms.(i) <- new_b;
+    t.prepared.(i) <- None;
+    patch_ex_store t i old_b new_b;
+    true
+  end
 
 let incremental_refresh t ds gen =
   (* catch the private saturation snapshot up; set semantics make
      re-application a no-op when a shared [sub] already absorbed it *)
   Backend.apply t.data ds;
   Obs.Counter.add c_delta_applied (List.length ds);
-  let affected = affected_positions t ds in
-  Array.iter
-    (fun i ->
-      Obs.Counter.incr c_delta_rounds;
-      let old_b = t.bottoms.(i) in
-      let new_b =
-        Bottom.saturation ?expand:t.expand ~backend:t.data ~params:t.params
-          t.inst t.examples.(i)
-      in
-      t.bottoms.(i) <- new_b;
-      t.prepared.(i) <- None;
-      patch_ex_store t i old_b new_b)
-    affected;
-  if Array.length affected > 0 then begin
+  let changed = List.filter (resaturate t) (affected_positions t ds) in
+  if changed <> [] then begin
     t.avg_bottom_len <- mean_bottom_len t.bottoms;
-    t.dirty_log <- (gen, affected) :: t.dirty_log;
+    t.dirty_log <- (gen, Array.of_list changed) :: t.dirty_log;
     (* bound the history; vectors older than the retained window are
        recomputed instead of patched *)
     let rec take k = function
@@ -422,6 +450,7 @@ let sub t idxs =
   {
     examples = Array.map (fun i -> t.examples.(i)) idxs;
     bottoms;
+    probes = Array.map (fun i -> t.probes.(i)) idxs;
     prepared = Array.make (Array.length idxs) None;
     avg_bottom_len = mean_bottom_len bottoms;
     max_steps = t.max_steps;
@@ -569,17 +598,18 @@ let compute_positions t clause (positions : int array) =
 let dirty_since t egen =
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (g, affected) ->
+    (fun (g, changed) ->
       if g > egen then
-        Array.iter (fun i -> Hashtbl.replace seen i ()) affected)
+        Array.iter (fun i -> Hashtbl.replace seen i ()) changed)
     t.dirty_log;
   Array.of_list (List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) seen []))
 
 (* Cache lookup with lazy patching: a fresh entry answers directly; an
    entry left stale by incremental refreshes is re-tested at exactly
-   the positions those refreshes re-saturated, then promoted to the
-   current generation; an entry older than the retained history reads
-   as a miss (the caller recomputes and replaces it). *)
+   the positions whose bottom clauses those refreshes changed, then
+   promoted to the current generation; an entry older than the
+   retained history reads as a miss (the caller recomputes and
+   replaces it). *)
 let cached_vector t clause key =
   if not t.cache_enabled then None
   else

@@ -15,6 +15,10 @@ type definition = { target : string; clauses : t list }
 
 let make head body = { head; body }
 
+(** [equal a b] — the same head and the same body literals in the
+    same order (structural, not up to renaming or θ-equivalence). *)
+let equal a b = Atom.equal a.head b.head && List.equal Atom.equal a.body b.body
+
 let length c = List.length c.body
 
 (** Distinct variable names of the clause, head first then body in

@@ -277,5 +277,50 @@ let property_suite =
             Coverage.covered_count p.Problem.neg_cov red <= before);
   ]
 
+(* ------------------------ chase identity ---------------------------- *)
+
+let chase_identity_suite =
+  [
+    tc "chase keeps partners that print alike" (fun () ->
+        (* r[k] = s[k]: every s row of k1 partners r(k1,1). Printed,
+           s(k1,5,c) and s(k1,"5",c) read alike, and so do
+           s(k1,"a, b","c") and s(k1,"a","b, c") *)
+        let at = Schema.attribute ~domain:"d" in
+        let schema =
+          Schema.make
+            ~inds:[ Schema.ind_with_equality "r" [ "k" ] "s" [ "k" ] ]
+            [
+              Schema.relation "r" [ at "k"; at "x" ];
+              Schema.relation "s" [ at "k"; at "y"; at "z" ];
+            ]
+        in
+        let inst = Instance.create schema in
+        let k = Value.str "k1" and str = Value.str in
+        let r_tuple = Tuple.of_list [ k; Value.int 1 ] in
+        Instance.add inst "r" r_tuple;
+        let partners =
+          List.map Tuple.of_list
+            [
+              [ k; Value.int 5; str "c" ];
+              [ k; str "5"; str "c" ];
+              [ k; str "a, b"; str "c" ];
+              [ k; str "a"; str "b, c" ];
+            ]
+        in
+        List.iter (Instance.add inst "s") partners;
+        let got = Plan.expand (Plan.build schema) inst "r" r_tuple in
+        List.iteri
+          (fun i tu ->
+            check Alcotest.bool
+              (Fmt.str "partner %d, %a, chased" i Tuple.pp tu)
+              true
+              (List.exists
+                 (fun (rel, t) -> String.equal rel "s" && Tuple.equal t tu)
+                 got))
+          partners;
+        check Alcotest.int "no other tuple" 4 (List.length got));
+  ]
+
 let suite =
   plan_suite @ repair_suite @ reduction_suite @ castor_suite @ property_suite
+  @ chase_identity_suite

@@ -333,13 +333,17 @@ let stream_suite =
 
 (* ---------------- prepared bottom clauses --------------------------- *)
 
+(* A copy with the same storage order: tuples are re-added oldest
+   first. The IND chase emits partners, and keeps the first
+   [join_limit], in storage order, so only such a copy saturates with
+   the same literal order. *)
 let copy_instance inst =
   let schema = Instance.schema inst in
   let out = Instance.create schema in
   List.iter
     (fun (r : Schema.relation) ->
       List.iter (Instance.add out r.Schema.rname)
-        (Instance.tuples inst r.Schema.rname))
+        (List.rev (Instance.tuples inst r.Schema.rname)))
     schema.Schema.relations;
   out
 
@@ -408,6 +412,206 @@ let prepared_suite =
           seeds results);
   ]
 
+(* ---------------- maintained bottoms on the hand variants ---------- *)
+
+module Datasets = Castor_datasets
+module Experiment = Castor_eval.Experiment
+module Plan = Castor_core.Plan
+
+(* Small configurations of the four datasets, so the twelve variants
+   prepare and rebuild in a few seconds. *)
+let small_datasets =
+  let open Datasets in
+  [
+    Uwcse.generate
+      ~config:
+        {
+          Uwcse.n_students = 24;
+          n_profs = 8;
+          n_courses = 12;
+          n_terms = 3;
+          seed = 7;
+        }
+      ();
+    Hiv.generate
+      ~config:{ Hiv.n_compounds = 24; atoms_per_compound = (4, 9); seed = 11 }
+      ();
+    Imdb.generate
+      ~config:
+        {
+          Imdb.n_movies = 40;
+          n_directors = 16;
+          n_actors = 30;
+          n_countries = 4;
+          seed = 13;
+        }
+      ();
+    Family.generate ~config:{ Family.n_roots = 4; depth = 3; seed = 3 } ();
+  ]
+
+(* Candidate clauses: body prefixes of the first bottom clauses. *)
+let prefixes (cov : Coverage.t) =
+  List.concat_map
+    (fun i ->
+      let bc, _ = Clause.variabilize cov.Coverage.bottoms.(i) in
+      List.map
+        (fun k ->
+          Clause.make bc.Clause.head
+            (List.filteri (fun j _ -> j < k) bc.Clause.body))
+        [ 1; 2; 4 ])
+    (List.init (min 4 (Coverage.length cov)) Fun.id)
+
+(* Whether [cov], maintained through deltas, holds what a from-scratch
+   build on [fresh_inst] holds: bottom clauses, probe sets and the
+   vectors of [cands]. *)
+let same_as_rebuild ~expand ~params fresh_inst (cov : Coverage.t) cands =
+  let fresh =
+    Coverage.build ~expand ~params fresh_inst cov.Coverage.examples
+  in
+  let vectors = List.map (fun cl -> Coverage.vector cov cl) cands in
+  vectors = List.map (fun cl -> Coverage.vector fresh cl) cands
+  && Array.for_all2 Clause.equal cov.Coverage.bottoms fresh.Coverage.bottoms
+  && cov.Coverage.probes = fresh.Coverage.probes
+
+(* Prepare a variant (IND chase on), warm the memo, then replay three
+   seeded mutation streams one delta at a time with queries in
+   between. After each stream the positive and negative structures
+   must equal a rebuild on a copy of the mutated instance, with no
+   full refresh. Returns a label per failure. *)
+let variant_after_streams (ds : Datasets.Dataset.t) vname =
+  let prep = Experiment.prepare ds vname in
+  let v = prep.Experiment.pvariant in
+  let inst = v.Datasets.Dataset.vinstance in
+  let pos = prep.Experiment.all_pos and neg = prep.Experiment.all_neg in
+  let cands = prefixes pos in
+  let query () =
+    List.iter
+      (fun cl ->
+        ignore (Coverage.vector pos cl);
+        ignore (Coverage.vector neg cl))
+      cands
+  in
+  query ();
+  let full0 = Obs.Counter.value Coverage.c_full_refreshes in
+  let b = Backend.of_instance inst in
+  let plan = Plan.build ~mode:`Equality_only v.Datasets.Dataset.vschema in
+  List.concat_map
+    (fun seed ->
+      let stream =
+        Examples.mutation_stream ~seed ~length:24 inst
+          ds.Datasets.Dataset.examples
+      in
+      List.iteri
+        (fun i d ->
+          Backend.apply b [ d ];
+          if i mod 4 = 3 then query ())
+        stream;
+      let copy = copy_instance inst in
+      let expand rel tu = Plan.expand plan copy rel tu in
+      let params = prep.Experiment.bottom_params in
+      let label side =
+        Fmt.str "%s/%s seed %d: %s" ds.Datasets.Dataset.name vname seed side
+      in
+      List.filter_map
+        (fun (side, cov) ->
+          if same_as_rebuild ~expand ~params copy cov cands then None
+          else Some (label side))
+        [ ("pos", pos); ("neg", neg) ]
+      @
+      if Obs.Counter.value Coverage.c_full_refreshes <> full0 then
+        [ label "full refresh" ]
+      else [])
+    [ 101; 102; 103 ]
+
+let chase_suite =
+  [
+    tc
+      "maintained bottoms equal a rebuild on every hand variant, with the \
+       IND chase" (fun () ->
+        let changed0 =
+          Obs.Counter.value Coverage.c_delta_rounds
+          - Obs.Counter.value Coverage.c_unchanged
+        in
+        let failures =
+          List.concat_map
+            (fun (ds : Datasets.Dataset.t) ->
+              List.concat_map
+                (fun (vname, _) -> variant_after_streams ds vname)
+                ds.Datasets.Dataset.variants)
+            small_datasets
+        in
+        check Alcotest.(list string) "no variant diverges from its rebuild" []
+          failures;
+        check Alcotest.bool "some re-saturation changed a bottom clause" true
+          (Obs.Counter.value Coverage.c_delta_rounds
+           - Obs.Counter.value Coverage.c_unchanged
+          > changed0));
+  ]
+
+(* ---------------- full refresh, then the patch path ----------------- *)
+
+let full_refresh_suite =
+  [
+    tc "a full refresh recomputes probe sets for the deltas after it"
+      (fun () ->
+        (* the target relation t is part of the schema, so a delta on
+           it forces the full-refresh fallback *)
+        let schema =
+          Schema.make
+            [
+              Schema.relation "p" [ at ~domain:"d" "x"; at ~domain:"d" "y" ];
+              Schema.relation "q" [ at ~domain:"d" "x"; at ~domain:"d" "y" ];
+              Schema.relation "t" [ at ~domain:"d" "x" ];
+            ]
+        in
+        let inst = Instance.create schema in
+        Instance.add inst "p" (Tuple.of_list [ c 0; c 1 ]);
+        let examples =
+          Array.init 2 (fun i -> Atom.of_tuple "t" (Tuple.of_list [ c i ]))
+        in
+        let params = Bottom.default_params in
+        let cov = Coverage.build ~params inst examples in
+        let t_pq =
+          Clause.make
+            (Atom.make "t" [ va "A" ])
+            [
+              Atom.make "p" [ va "A"; va "B" ];
+              Atom.make "q" [ va "B"; va "C" ];
+            ]
+        in
+        check Alcotest.(list bool) "baseline" [ false; false ]
+          (Array.to_list (Coverage.vector cov t_pq));
+        check Alcotest.bool "c5 is no probe of t(c0) yet" false
+          (Array.mem (c 5) cov.Coverage.probes.(0));
+        let b = Backend.of_instance inst in
+        let full0 = Obs.Counter.value Coverage.c_full_refreshes in
+        (* p(c0,c5) makes t(c0) look c5 up at depth 2 *)
+        Backend.apply b
+          [
+            Delta.add "t" (Tuple.of_list [ c 9 ]);
+            Delta.add "p" (Tuple.of_list [ c 0; c 5 ]);
+          ];
+        ignore (Coverage.vector cov t_pq);
+        check Alcotest.int "the target delta forced a full refresh"
+          (full0 + 1)
+          (Obs.Counter.value Coverage.c_full_refreshes);
+        check Alcotest.bool "the refresh grew t(c0)'s probe set" true
+          (Array.mem (c 5) cov.Coverage.probes.(0));
+        (* q(c5,c6) holds no value of the old probe sets *)
+        let applied0 = Obs.Counter.value Coverage.c_delta_applied in
+        Backend.apply b [ Delta.add "q" (Tuple.of_list [ c 5; c 6 ]) ];
+        let got = Array.to_list (Coverage.vector cov t_pq) in
+        check Alcotest.int "absorbed incrementally" (applied0 + 1)
+          (Obs.Counter.value Coverage.c_delta_applied);
+        check Alcotest.int "no second full refresh" (full0 + 1)
+          (Obs.Counter.value Coverage.c_full_refreshes);
+        let fresh = Coverage.build ~params (copy_instance inst) examples in
+        check Alcotest.(list bool) "answers like a rebuild"
+          (Array.to_list (Coverage.vector fresh t_pq))
+          got;
+        check Alcotest.(list bool) "t(c0) now covered" [ true; false ] got);
+  ]
+
 let suite =
   substrate_suite @ view_suite @ planner_suite @ online_suite @ stream_suite
-  @ prepared_suite
+  @ prepared_suite @ chase_suite @ full_refresh_suite

@@ -615,7 +615,29 @@ let print_alike_suite =
         check Alcotest.int "no other literal" 4 (List.length sat.Clause.body));
   ]
 
+let truncation_suite =
+  [
+    tc "a saturation still cut after the last doubling is counted" (fun () ->
+        let truncated () = Castor_obs.Obs.Counter.value Bottom.c_truncated in
+        let saturate max_terms =
+          ignore
+            (Bottom.saturation
+               ~params:{ Bottom.default_params with max_terms; depth = 5 }
+               family_inst first_pos)
+        in
+        (* family saturates at ~103 constants from this example: a
+           budget of 2 doubles to 16 and is still cut *)
+        let before = truncated () in
+        saturate (Some 2);
+        check Alcotest.int "counted once" (before + 1) (truncated ());
+        (* a budget of 20 grows to 80 and completes *)
+        saturate (Some 20);
+        saturate None;
+        check Alcotest.int "completed saturations are not counted" (before + 1)
+          (truncated ()));
+  ]
+
 let suite =
   examples_suite @ bottom_suite @ coverage_suite @ parallel_suite
   @ scoring_suite @ covering_suite @ armg_suite @ negreduce_suite @ stats_suite
-  @ print_alike_suite
+  @ print_alike_suite @ truncation_suite
