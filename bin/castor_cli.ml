@@ -333,7 +333,7 @@ let stats dataset variant algo domains json out seed =
       a.Experiment.algo_name dataset vname
       (List.length def.Castor_logic.Clause.clauses);
     (* derived hot-path health lines: coverage-cache effectiveness and
-       how often the subsumption engine needed restarts *)
+       how many subsumption tests ran past the step budget *)
     let hits = Obs.Counter.value Castor_ilp.Stats.c_cache_hits in
     let misses = Obs.Counter.value Castor_ilp.Coverage.c_cache_misses in
     let lookups = hits + misses in
@@ -342,11 +342,9 @@ let stats dataset variant algo domains json out seed =
         lookups
         (100. *. float_of_int hits /. float_of_int lookups)
         (Obs.Counter.value Castor_ilp.Coverage.c_key_builds);
-    let restarts = Obs.Counter.value Castor_logic.Subsume.c_restarts in
-    if restarts > 0 then
-      Fmt.pr "subsumption restarts: %d (%d recovered definitive answers)@."
-        restarts
-        (Obs.Counter.value Castor_logic.Subsume.c_restart_recoveries);
+    let fallbacks = Obs.Counter.value Castor_ilp.Coverage.c_budget_fallbacks in
+    if fallbacks > 0 then
+      Fmt.pr "coverage tests finished past the step budget: %d@." fallbacks;
     Fmt.pr "@.";
     print_string (Obs.report ())
   end
@@ -469,12 +467,8 @@ let analyze dataset clauses_file clause_str sources rules json out seed =
           (* mirror the experiment defaults so the saturation-budget
              estimate reflects what `learn` would actually run *)
           let budget =
-            {
-              Castor_analysis.Modes.depth = 2;
-              max_terms = Some 60;
-              per_relation_cap = 10;
-              max_steps = 40_000;
-            }
+            Castor_learners.Problem.analysis_budget
+              Experiment.default_bottom_params
           in
           Analyze.dataset_checks ~budget ~base:ds.Dataset.schema
             ~variants:ds.Dataset.variants ~target:ds.Dataset.target

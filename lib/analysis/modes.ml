@@ -185,8 +185,10 @@ let clamp v = min v 1_000_000_000
 (** [lint_budget ~budget ~target schema] estimates the literal and
     distinct-constant counts of a saturation (the ROADMAP's
     "literal-count/variable-budget estimates against [max_terms]") and
-    flags configurations whose bottom clauses are likely to exhaust
-    the subsumption step budget during coverage testing.
+    flags configurations whose bottom clauses are likely to run past
+    the subsumption step budget during coverage testing. Such tests
+    are still exact — coverage finishes them without a budget — but
+    slow.
 
     The model is deliberately crude — each frontier constant admits up
     to [per_relation_cap] literals per relation, each literal
@@ -245,9 +247,9 @@ let lint_budget ~(budget : budget) ~(target : Schema.relation)
           Diagnostic.make ~rule:"mode/saturation-budget"
             ~severity:Diagnostic.Warning ~subject
             "estimated bottom clauses (~%d literals over ~%d terms) can \
-             exhaust the %d-step subsumption budget; randomized restarts \
-             will retry with escalated budgets, but consider lowering \
-             max_terms or per_relation_cap"
+             run past the %d-step subsumption budget; coverage then \
+             finishes those tests exactly without a budget, only more \
+             slowly: consider lowering max_terms or per_relation_cap"
             !lits est_terms budget.max_steps;
         ]
       else []

@@ -38,6 +38,16 @@
     {!compute_positions} resolves the targets of its positions, and
     the worker closures capture that immutable array.
 
+    {2 Exact past the step budget}
+
+    Every answer is exact, whatever [max_steps]. A subsumption search
+    starts with that budget; one that runs out is counted under
+    [ilp.coverage.budget_fallbacks] and finished without a budget, on
+    the domain it ran on. The budget only decides which tests are
+    counted, so no performance knob can change what is learned — the
+    kernel is exact as well, which keeps the planner's choice
+    result-neutral (paper Lemmas 7.5-7.8 assume an exact test).
+
     {2 Online updates}
 
     The structure subscribes to the source backend's delta stream
@@ -90,6 +100,8 @@ type t = {
           subsumption-cost input; recomputed whenever [bottoms]
           changes, not on every decision *)
   max_steps : int;
+      (** step budget of a subsumption test; a test past it is finished
+          without one and counted under [ilp.coverage.budget_fallbacks] *)
   cache : (string, entry) Hashtbl.t;
   mutable cache_enabled : bool;
   mutable domains : int;
@@ -205,14 +217,20 @@ let mean_bottom_len (bottoms : Clause.t array) =
          0 bottoms)
     /. float_of_int n
 
-(** [build ?expand ~params ~max_steps inst examples] precomputes the
+(** The subsumption step budget coverage tests start with. It changes
+    no answer (see "Exact past the step budget" above). *)
+let default_max_steps = 250_000
+
+(** [build ?expand ~params ?max_steps inst examples] precomputes the
     saturations of [examples] over a columnar snapshot of [inst] and
     loads them into the example store the batched coverage kernel runs
     against. The structure subscribes to [inst]'s delta stream, so
     later mutations are absorbed incrementally; that stays exact only
     if [expand] reports every value its data probes bind through
-    {!Bottom.note_probe}, as {!Castor_core.Plan.expand} does. *)
-let build ?expand ~params ?(max_steps = 250_000) inst
+    {!Bottom.note_probe}, as {!Castor_core.Plan.expand} does.
+    [max_steps] (default {!default_max_steps}) only picks which
+    subsumption tests are finished as budget fallbacks. *)
+let build ?expand ~params ?(max_steps = default_max_steps) inst
     (examples : Atom.t array) =
   let source = Backend.of_instance inst in
   let data = Backend.load Backend.default_spec inst in
@@ -561,12 +579,27 @@ let prepared_at t i =
       t.prepared.(i) <- Some p;
       p
 
-(* [max_steps] is threaded explicitly (not read off [t]) so the worker
-   closures built over this function hold an immutable snapshot. *)
+(** Subsumption tests that ran out of the step budget and were
+    finished without one. Only the budget decides which tests count
+    here, never an answer. *)
+let c_budget_fallbacks = Obs.Counter.create "ilp.coverage.budget_fallbacks"
+
+(* One exact subsumption test. A search that runs out of [max_steps]
+   is counted and run again, on the same domain, with no budget: the
+   answer never depends on the budget. [max_steps] is threaded
+   explicitly (not read off [t]) so the worker closures built over this
+   function hold an immutable snapshot. *)
 let subsumes_noted ~max_steps target clause =
   Obs.Counter.incr Stats.c_subsumption_tests;
   let steps0 = Obs.Counter.value Subsume.c_steps in
-  let r = Subsume.subsumes_prepared ~max_steps clause target in
+  let r =
+    match Subsume.subsumes_prepared ~max_steps clause target with
+    | Some b -> b
+    | None ->
+        Obs.Counter.incr c_budget_fallbacks;
+        (* no search reaches [max_int] steps *)
+        Option.get (Subsume.subsumes_prepared ~max_steps:max_int clause target)
+  in
   Planner.note_actual (Obs.Counter.value Subsume.c_steps - steps0);
   r
 
@@ -627,7 +660,8 @@ let cached_vector t clause key =
 
 (** [covers t clause i] tests coverage of the [i]-th example alone. A
     full vector cached for the same clause (up to variable renaming)
-    answers without any test; otherwise the planner picks between a
+    answers without any test; otherwise it is {!compute_positions} on
+    the one position, where the planner picks between a
     single-example kernel run and one subsumption search — for one
     undecided example the cost model almost always prefers the
     latter. Nearly every call comes from ARMG's prefix probes, and a
@@ -644,12 +678,7 @@ let covers t clause i =
       Obs.Counter.incr Stats.c_cache_hits;
       Planner.note_cached ();
       v.(i)
-  | None -> (
-      match (plan t ~n_undecided:1 clause).Planner.strategy with
-      | Planner.Semijoin (patterns, decomp) ->
-          (run_semijoin t patterns decomp [| i |]).(0)
-      | Planner.Subsumption ->
-          subsumes_noted ~max_steps:t.max_steps (prepared_at t i) clause)
+  | None -> (compute_positions t clause [| i |]).(0)
 
 (** [vector ?assume ?within t clause] returns the boolean coverage
     vector of [clause] over all examples.

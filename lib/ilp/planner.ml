@@ -90,7 +90,8 @@ type decision = {
 }
 
 (** Rough branching factor of the subsumption search per candidate
-    literal × bottom literal pair (backtracking, restarts). *)
+    literal × bottom literal pair (backtracking with forward
+    checking). *)
 let subsumption_branching = 4.0
 
 let pattern_of_atom (a : Atom.t) =

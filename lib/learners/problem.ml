@@ -51,25 +51,29 @@ let head p =
 (** Domains of the head variables, in order. *)
 let head_domains p = List.map (fun a -> a.Schema.domain) p.target.Schema.attrs
 
+(** The saturation and search budget the static analysis checks a
+    problem against: [params]' saturation bounds and the step budget
+    coverage tests start with ({!Coverage.default_max_steps}). *)
+let analysis_budget (params : Bottom.params) =
+  {
+    Castor_analysis.Modes.depth = params.Bottom.depth;
+    max_terms = params.Bottom.max_terms;
+    per_relation_cap = params.Bottom.per_relation_cap;
+    max_steps = Coverage.default_max_steps;
+  }
+
 (* The pre-learning gate: run the static-analysis pass over the
    problem configuration (schema lints + inferred-mode lints) before
    paying for the example saturations. [`Warn] reports diagnostics on
    stderr, [`Strict] additionally raises {!Rejected} on errors,
    [`Off] skips the analysis entirely. *)
 let run_gate (gate : gate) ~(bottom_params : Bottom.params) ~const_pool
-    ~max_steps instance target =
+    instance target =
   match gate with
   | `Off -> ()
   | (`Warn | `Strict) as g ->
       Obs.Counter.incr c_gate_runs;
-      let budget =
-        {
-          Castor_analysis.Modes.depth = bottom_params.Bottom.depth;
-          max_terms = bottom_params.Bottom.max_terms;
-          per_relation_cap = bottom_params.Bottom.per_relation_cap;
-          max_steps;
-        }
-      in
+      let budget = analysis_budget bottom_params in
       let diags =
         Castor_analysis.Analyze.problem_config ~budget ~target
           ~const_pool_domains:
@@ -91,19 +95,16 @@ let run_gate (gate : gate) ~(bottom_params : Bottom.params) ~const_pool
     warning/error diagnostics, [`Strict] raises {!Rejected} on errors,
     [`Off] disables the check. *)
 let make ?(bottom_params = Bottom.default_params) ?(const_pool = []) ?(seed = 42)
-    ?expand ?(max_steps = 40_000) ?(gate = `Warn) instance target
-    (train : Examples.t) =
-  run_gate gate ~bottom_params ~const_pool ~max_steps instance target;
+    ?expand ?(gate = `Warn) instance target (train : Examples.t) =
+  run_gate gate ~bottom_params ~const_pool instance target;
   {
     instance;
     target;
     train;
     pos_cov =
-      Coverage.build ?expand ~params:bottom_params ~max_steps instance
-        train.Examples.pos;
+      Coverage.build ?expand ~params:bottom_params instance train.Examples.pos;
     neg_cov =
-      Coverage.build ?expand ~params:bottom_params ~max_steps instance
-        train.Examples.neg;
+      Coverage.build ?expand ~params:bottom_params instance train.Examples.neg;
     const_pool;
     bottom_params;
     rng = Random.State.make [| seed |];
@@ -114,7 +115,7 @@ let make ?(bottom_params = Bottom.default_params) ?(const_pool = []) ?(seed = 42
     so a problem built with [`Off] can still be gated at learn time. *)
 let recheck ?(gate = (`Warn : gate)) p =
   run_gate gate ~bottom_params:p.bottom_params ~const_pool:p.const_pool
-    ~max_steps:p.pos_cov.Coverage.max_steps p.instance p.target
+    p.instance p.target
 
 (** A learner maps a problem to a Horn definition of the target. *)
 type learner = t -> Clause.definition

@@ -22,16 +22,13 @@
       static most-bound-first literal order with forward checking of
       variable-sharing neighbors.
 
-    A step budget bounds pathological instances. Exhausting it no
-    longer gives up immediately: the search is restarted with a
-    seeded-shuffle literal order and a geometrically escalated budget
-    for a bounded number of attempts (randomized restarts, the classic
-    cure for unlucky static orderings in FOIL-style search), and only
-    after every attempt exhausts does the engine conservatively report
-    non-subsumption. Restarts are deterministic per
-    (clause, attempt): the shuffle seed is a hash of the pattern body
-    mixed with the attempt number, so results are reproducible. The
-    seed is only computed when a restart happens.
+    A step budget bounds pathological instances. The clause-level
+    calls ({!subsumes}, {!subsuming_subst}, {!equivalent}, ...) answer
+    conservatively when it runs out: "does not subsume", which is what
+    clause reduction ({!Minimize}) wants. The prepared call
+    {!subsumes_prepared} reports the exhaustion instead ([None]), so
+    coverage testing can finish the search without a budget and stay
+    exact (see {!Castor_ilp.Coverage}).
 
     A target [D] tested against many clauses can be {e prepared} once
     ({!prepare}: its head plus its body grouped by relation) and tested
@@ -43,8 +40,9 @@ module Obs = Castor_obs.Obs
 
 (* Observability of the engine (Section 7.5.3: subsumption is the
    learning hot path). [steps] is total backtracking-search steps;
-   budget exhaustions mark the conservative "report non-subsumption"
-   exits that any perf work on the engine must watch. *)
+   [budget_exhausted] counts searches the step budget cut short — a
+   conservative "does not subsume" at clause level, a budget-free
+   re-run in coverage — which any perf work on the engine must watch. *)
 let c_calls = Obs.Counter.create "logic.subsume.calls"
 
 let c_steps = Obs.Counter.create "logic.subsume.steps"
@@ -60,14 +58,14 @@ let c_ac_refuted = Obs.Counter.create "logic.subsume.ac_refuted"
    this to [c_steps] or they credit AC exits as free. *)
 let c_ac_scans = Obs.Counter.create "logic.subsume.ac_scans"
 
-(* Restart observability: [restarts] counts re-runs after an exhausted
-   attempt; [restart_recoveries] counts searches that exhausted at
-   least once and then completed definitively (either answer) on a
-   restart — the tests that the old engine answered wrongly-
-   conservatively. *)
+(* Nothing increments this counter: the engine no longer restarts a
+   search, and coverage finishes an exhausted one without a budget
+   instead. It stays registered under its old name, always 0, because
+   the per-layer benchmark ([perfbench]) reads it for its
+   [logic.subsume.restarts] metric, as {!Castor_relational.Store.c_lookups}
+   stays for [relational.store.lookups]. Delete it once that metric is
+   repointed at [ilp.coverage.budget_fallbacks]. *)
 let c_restarts = Obs.Counter.create "logic.subsume.restarts"
-
-let c_restart_recoveries = Obs.Counter.create "logic.subsume.restart_recoveries"
 
 type groups = (string, Atom.t array) Hashtbl.t
 
@@ -405,68 +403,6 @@ let search ~max_steps bindings (ordered : plit array) =
   if go 0 then Some bindings else None
 
 (* ---------------------------------------------------------------- *)
-(* Randomized restarts                                                *)
-(* ---------------------------------------------------------------- *)
-
-(* splitmix-style integer mixer: cheap, stateless, and good enough to
-   decorrelate shuffle orders across attempts *)
-let mix s =
-  let s = (s * 0x9E3779B9) + 0x7F4A7C15 in
-  let s = (s lxor (s lsr 15)) * 0x85EBCA6B in
-  (s lxor (s lsr 13)) land max_int
-
-(* deterministic Fisher-Yates over a fresh copy, seeded per attempt *)
-let seeded_shuffle seed (arr : plit array) =
-  let a = Array.copy arr in
-  let state = ref (mix seed) in
-  for i = Array.length a - 1 downto 1 do
-    state := mix !state;
-    let j = !state mod (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  a
-
-let default_restarts = 3
-
-(* Run [search], restarting with a shuffled literal order and a
-   doubled budget on exhaustion, up to [max_restarts] extra attempts.
-   [seed ()] is only called when a restart happens: no search on the
-   benchmark workloads restarts, and the seed hashes the whole
-   pattern.
-   [base] is the post-AC seeded binding array: [search] leaves
-   bindings dirty when the budget exception escapes, so every attempt
-   works on a fresh copy. The first attempt keeps the most-bound-first
-   heuristic order; restarts shuffle the input literal list before
-   re-applying the heuristic, which randomizes its tie-breaking
-   without abandoning it. *)
-let search_with_restarts ~max_steps ~max_restarts ~seed (base : Term.t option array)
-    (plits : plit list) =
-  let plit_arr = Array.of_list plits in
-  let rec attempt k budget =
-    let input =
-      if k = 0 then plit_arr else seeded_shuffle (mix (seed () + k)) plit_arr
-    in
-    let ordered = order_literals base (Array.to_list input) in
-    let bindings = Array.copy base in
-    match search ~max_steps:budget bindings ordered with
-    | result ->
-        if k > 0 then Obs.Counter.incr c_restart_recoveries;
-        result
-    | exception Budget_exhausted ->
-        Obs.Counter.incr c_budget_exhausted;
-        if k >= max_restarts then None
-        else begin
-          Obs.Counter.incr c_restarts;
-          (* geometric escalation; [max 1] so a zero budget still
-             escalates instead of looping at zero *)
-          attempt (k + 1) (max 1 (budget * 2))
-        end
-  in
-  attempt 0 max_steps
-
-(* ---------------------------------------------------------------- *)
 (* Public interface                                                   *)
 (* ---------------------------------------------------------------- *)
 
@@ -480,10 +416,10 @@ type prepared = { phead : Atom.t; pgroups : groups }
 (** [prepare d] groups [d]'s body by relation. *)
 let prepare (d : Clause.t) = { phead = d.Clause.head; pgroups = group_body d.Clause.body }
 
-(** [subsuming_subst_prepared ?max_steps ?max_restarts c p] is
-    {!subsuming_subst} against a prepared target. *)
-let subsuming_subst_prepared ?(max_steps = 60_000)
-    ?(max_restarts = default_restarts) (c : Clause.t) (p : prepared) =
+(* The witness θ with [Cθ ⊆ D] for [p = prepare D], or [None] when
+   there is none. Raises [Budget_exhausted], counted, when the search
+   takes more than [max_steps] steps before deciding. *)
+let witness ~max_steps (c : Clause.t) (p : prepared) =
   Obs.Counter.incr c_calls;
   match Subst.match_atom Subst.empty c.Clause.head p.phead with
   | None -> None
@@ -517,20 +453,12 @@ let subsuming_subst_prepared ?(max_steps = 60_000)
                   Obs.Counter.incr c_ac_refuted;
                   None
               | () -> (
-                  (* the shuffle seed depends only on the pattern, so
-                     a given (clause, attempt) always explores the
-                     same order *)
-                  let seed () =
-                    Hashtbl.hash
-                      (List.map
-                         (fun (a : Atom.t) ->
-                           (a.Atom.rel, Array.map Term.to_string a.Atom.args))
-                         c.Clause.body)
-                  in
                   match
-                    search_with_restarts ~max_steps ~max_restarts ~seed
-                      bindings plits
+                    search ~max_steps bindings (order_literals bindings plits)
                   with
+                  | exception Budget_exhausted ->
+                      Obs.Counter.incr c_budget_exhausted;
+                      raise Budget_exhausted
                   | None -> None
                   | Some bindings ->
                       (* assemble the witness substitution *)
@@ -543,21 +471,24 @@ let subsuming_subst_prepared ?(max_steps = 60_000)
                         var_ids;
                       Some !s)))
 
-(** [subsuming_subst ?max_steps ?max_restarts c d] returns a witness θ
-    with [Cθ ⊆ D], or [None]. Heads must match. [max_restarts]
-    (default {!default_restarts}) bounds the randomized re-runs after
-    budget exhaustion; [~max_restarts:0] restores the old
-    conservative give-up-on-first-exhaustion behavior. *)
-let subsuming_subst ?max_steps ?max_restarts c d =
-  subsuming_subst_prepared ?max_steps ?max_restarts c (prepare d)
+(** [subsumes_prepared ?max_steps c p] decides [C θ-subsumes D] for
+    [p = prepare D]: [Some answer], or [None] when the search ran out
+    of its [max_steps] budget (default 60,000) before deciding. *)
+let subsumes_prepared ?(max_steps = 60_000) c p =
+  match witness ~max_steps c p with
+  | s -> Some (Option.is_some s)
+  | exception Budget_exhausted -> None
 
-(** [subsumes c d] decides [C θ-subsumes D]. *)
-let subsumes ?max_steps ?max_restarts c d =
-  Option.is_some (subsuming_subst ?max_steps ?max_restarts c d)
+(** [subsuming_subst ?max_steps c d] returns a witness θ with
+    [Cθ ⊆ D], or [None]. Heads must match. A search that runs out of
+    its [max_steps] budget (default 60,000) answers [None]: the
+    conservative "does not subsume". *)
+let subsuming_subst ?(max_steps = 60_000) c d =
+  try witness ~max_steps c (prepare d) with Budget_exhausted -> None
 
-(** [subsumes_prepared c p] decides [C θ-subsumes D] for [p = prepare D]. *)
-let subsumes_prepared ?max_steps ?max_restarts c p =
-  Option.is_some (subsuming_subst_prepared ?max_steps ?max_restarts c p)
+(** [subsumes c d] decides [C θ-subsumes D], conservatively under the
+    budget like {!subsuming_subst}. *)
+let subsumes ?max_steps c d = Option.is_some (subsuming_subst ?max_steps c d)
 
 (** Reference implementation without pruning or ordering, used to
     cross-check the optimized engine in tests. *)
@@ -585,23 +516,18 @@ let subsumes_naive ?(max_steps = 2_000_000) (c : Clause.t) (d : Clause.t) =
       (try go s0 c.Clause.body with Budget_exhausted -> false)
 
 (** θ-equivalence of clauses: mutual subsumption. *)
-let equivalent ?max_steps ?max_restarts c1 c2 =
-  subsumes ?max_steps ?max_restarts c1 c2
-  && subsumes ?max_steps ?max_restarts c2 c1
+let equivalent ?max_steps c1 c2 =
+  subsumes ?max_steps c1 c2 && subsumes ?max_steps c2 c1
 
 (** [definition_subsumes d1 d2] holds when every clause of [d2] is
     subsumed by some clause of [d1] — i.e. [d1] is at least as general,
     clause-wise. *)
-let definition_subsumes ?max_steps ?max_restarts (d1 : Clause.definition)
+let definition_subsumes ?max_steps (d1 : Clause.definition)
     (d2 : Clause.definition) =
   List.for_all
-    (fun c2 ->
-      List.exists
-        (fun c1 -> subsumes ?max_steps ?max_restarts c1 c2)
-        d1.Clause.clauses)
+    (fun c2 -> List.exists (fun c1 -> subsumes ?max_steps c1 c2) d1.Clause.clauses)
     d2.Clause.clauses
 
 (** Clause-wise θ-equivalence of definitions. *)
-let definition_equivalent ?max_steps ?max_restarts d1 d2 =
-  definition_subsumes ?max_steps ?max_restarts d1 d2
-  && definition_subsumes ?max_steps ?max_restarts d2 d1
+let definition_equivalent ?max_steps d1 d2 =
+  definition_subsumes ?max_steps d1 d2 && definition_subsumes ?max_steps d2 d1

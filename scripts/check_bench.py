@@ -20,9 +20,9 @@ This script compares such a dump against the checked-in baseline
 
 Counters the experiment is expected to keep nonzero (e.g. the
 analysis pruner's analysis.pruned_literals) can be asserted with
---require-nonzero; counters that must merely be recorded — e.g. the
-subsumption engine's logic.subsume.restarts, legitimately zero when no
-test exhausts its budget — with --require-present; counters that must
+--require-nonzero; counters that must merely be recorded — e.g.
+ilp.coverage.budget_fallbacks, legitimately zero when no coverage test
+runs past its step budget — with --require-present; counters that must
 stay at exactly zero — e.g. ilp.coverage.full_refreshes on the
 incremental experiment's non-target tuple stream — with --require-zero.
 Two orderings within the current dump are machine independent and can

@@ -752,6 +752,51 @@ let alike_suite =
           ]);
   ]
 
+
+(* ---------------- exact past the step budget ----------------------- *)
+
+let budget_suite =
+  [
+    tc "a zero step budget changes no answer: vector and covers == kernel"
+      (fun () ->
+        let params = Bottom.default_params in
+        let pos = family_ex.Examples.pos in
+        let n = Array.length pos in
+        let cands = candidates family_inst params pos 3 in
+        let clauses = cands @ List.filter_map Planner.close_cycle cands in
+        let exact = Coverage.build ~params family_inst pos in
+        Coverage.set_cache exact false;
+        Coverage.set_batch exact false;
+        let zero = Coverage.build ~params ~max_steps:0 family_inst pos in
+        Coverage.set_cache zero false;
+        Coverage.set_batch zero false;
+        let store = Option.get (Coverage.store exact) in
+        let eids = Array.init n Fun.id in
+        let f0 = Obs.Counter.value Coverage.c_budget_fallbacks in
+        List.iteri
+          (fun i clause ->
+            let label = Fmt.str "clause %d" i in
+            let budgeted = Array.to_list (Coverage.vector exact clause) in
+            (* the kernel on a whole bottom clause (~58 literals) builds
+               bags of several GB, so only the short prefixes and their
+               closures are checked against it directly *)
+            if List.length clause.Clause.body <= 9 then
+              check Alcotest.(list bool) (label ^ ": default budget == kernel")
+                (Array.to_list
+                   (Algebra.semijoin_batch store
+                      ~patterns:(patterns_of clause) ~eids))
+                budgeted;
+            check Alcotest.(list bool) (label ^ ": vector, zero budget")
+              budgeted
+              (Array.to_list (Coverage.vector zero clause));
+            check Alcotest.(list bool) (label ^ ": covers, zero budget")
+              budgeted
+              (List.init n (Coverage.covers zero clause)))
+          clauses;
+        check Alcotest.bool "budget fallbacks counted" true
+          (Obs.Counter.value Coverage.c_budget_fallbacks > f0));
+  ]
+
 let suite =
   family_suite @ random_suite @ forest_suite @ kernel_cyclic_suite
-  @ edge_suite @ mutation_suite @ armg_suite @ alike_suite
+  @ edge_suite @ mutation_suite @ armg_suite @ alike_suite @ budget_suite

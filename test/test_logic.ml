@@ -410,38 +410,21 @@ let differential_suite =
         let d = cl (atom "t" [ k "a" ]) [ atom "r2" [ k "a"; k "b" ] ] in
         let before = Castor_obs.Obs.Counter.value Subsume.c_budget_exhausted in
         (* head matches and arc-consistency passes, so the zero-step
-           budget is exhausted on the first search step; restarts are
-           disabled to pin the conservative give-up path *)
+           budget is exhausted on the first search step *)
         check Alcotest.bool "gives up conservatively" false
-          (Subsume.subsumes ~max_steps:0 ~max_restarts:0 c d);
+          (Subsume.subsumes ~max_steps:0 c d);
         let after = Castor_obs.Obs.Counter.value Subsume.c_budget_exhausted in
         check Alcotest.int "counted exactly once" 1 (after - before);
         check Alcotest.bool "still subsumes with budget" true
           (Subsume.subsumes c d));
-    tc "a restart recovers the answer a zero budget gives up on" (fun () ->
-        let c = cl (atom "t" [ v "x" ]) [ atom "r2" [ v "x"; v "y" ] ] in
-        let d = cl (atom "t" [ k "a" ]) [ atom "r2" [ k "a"; k "b" ] ] in
-        let restarts = Subsume.c_restarts in
-        let recoveries = Subsume.c_restart_recoveries in
-        let r0 = Castor_obs.Obs.Counter.value restarts in
-        let v0 = Castor_obs.Obs.Counter.value recoveries in
-        (* the zero-step first attempt exhausts; escalation lifts the
-           budget to 1, 2, ... until the (trivial) search completes *)
-        check Alcotest.bool "recovered" true
-          (Subsume.subsumes ~max_steps:0 c d);
-        check Alcotest.bool "restarted at least once" true
-          (Castor_obs.Obs.Counter.value restarts > r0);
-        check Alcotest.int "recovered exactly once" 1
-          (Castor_obs.Obs.Counter.value recoveries - v0));
-    tc "restart battery: exhaustion-forcing cycles agree with naive engine"
+    tc "budget battery: a budgeted prepared answer is None or the naive one"
       (fun () ->
         (* cyclic patterns over dense/symmetric edge sets are not
            tree-structured, so arc-consistency cannot decide them and
-           the backtracking search really runs; a 2-step budget makes
-           the first attempt exhaust on every searched pair, so every
-           definitive answer below is produced by a restart *)
-        let recoveries = Subsume.c_restart_recoveries in
-        let v0 = Castor_obs.Obs.Counter.value recoveries in
+           the backtracking search really runs; a 2-step budget cuts
+           most searched pairs short, and the prepared call must say
+           so instead of guessing *)
+        let exhausted = ref 0 in
         let node i m = k (Printf.sprintf "n%d" (i mod m)) in
         for seed = 0 to 39 do
           let st = Random.State.make [| 0xbeef + seed |] in
@@ -477,15 +460,18 @@ let differential_suite =
             cl (atom "t" [ v "h" ]) (List.init l (fun i -> atom "p" [ y i; y (i + 1) ]))
           in
           let d = cl (atom "t" [ node 0 m ]) (edges @ chords) in
-          let opt = Subsume.subsumes ~max_steps:2 ~max_restarts:24 c d in
           let naive = Subsume.subsumes_naive ~max_steps:50_000_000 c d in
-          if opt <> naive then
-            Alcotest.failf "restart engine disagrees (optimized=%b, seed=%d): %s"
-              opt seed
-              (clause_pair_print (c, d))
+          match Subsume.subsumes_prepared ~max_steps:2 c (Subsume.prepare d) with
+          | None -> incr exhausted
+          | Some opt when opt = naive -> ()
+          | Some opt ->
+              Alcotest.failf
+                "budgeted engine disagrees (optimized=%b, seed=%d): %s" opt
+                seed
+                (clause_pair_print (c, d))
         done;
-        check Alcotest.bool "at least one restart recovery" true
-          (Castor_obs.Obs.Counter.value recoveries > v0));
+        check Alcotest.bool "at least one search ran out of budget" true
+          (!exhausted > 0));
   ]
 
 (* ---------------- coverage-memo key and literal identity --------- *)
@@ -584,18 +570,26 @@ let budget_suite =
         let d = cl (atom "t" [ k "n0" ]) target_body in
         check Alcotest.bool "succeeds with budget" true
           (Subsume.subsumes ~max_steps:100_000 c d);
-        (* with a one-step budget and restarts disabled the engine
-           gives up conservatively *)
+        (* with a one-step budget the engine gives up conservatively *)
         check Alcotest.bool "fails with tiny budget" false
-          (Subsume.subsumes ~max_steps:1 ~max_restarts:0 c d);
-        (* with restarts enabled the escalating budget recovers it *)
-        check Alcotest.bool "restarts recover the tiny budget" true
-          (Subsume.subsumes ~max_steps:1 ~max_restarts:24 c d));
+          (Subsume.subsumes ~max_steps:1 c d));
     tc "budget exhaustion is conservative (never reports false positives)"
       (fun () ->
         let c = cl (atom "t" [ v "x" ]) [ atom "p" [ v "x"; k "zzz" ] ] in
         let d = cl (atom "t" [ k "a" ]) [ atom "p" [ k "a"; k "b" ] ] in
         check Alcotest.bool "no" false (Subsume.subsumes ~max_steps:1 c d));
+    tc "subsumes_prepared reports a spent budget as None, not as an answer"
+      (fun () ->
+        let c = cl (atom "t" [ v "x" ]) [ atom "r2" [ v "x"; v "y" ] ] in
+        let p =
+          Subsume.prepare (cl (atom "t" [ k "a" ]) [ atom "r2" [ k "a"; k "b" ] ])
+        in
+        (* head matches and arc-consistency passes, so a zero-step
+           budget runs out on the first search step *)
+        check Alcotest.(option bool) "zero budget" None
+          (Subsume.subsumes_prepared ~max_steps:0 c p);
+        check Alcotest.(option bool) "generous budget" (Some true)
+          (Subsume.subsumes_prepared ~max_steps:100 c p));
   ]
 
 let suite =
