@@ -55,7 +55,10 @@ let chase_links t rel = Option.value ~default:[] (Hashtbl.find_opt t.chase rel)
     Proposition 7.4). Without the once-per-relation rule the chase
     would wander the data graph transitively (director → movie →
     another director → ...) and drag in unrelated rows. Up to
-    [join_limit] partners are fetched per link per tuple.
+    [join_limit] partners are fetched per link per tuple: the first
+    ones in {!Tuple.compare} order, so which partners are chased, and
+    their order in the bottom clause, depend on the data only, never
+    on the order it was inserted in.
 
     Every value a join probe binds is reported to the running
     saturation's probe recorder ({!Castor_ilp.Bottom.note_probe}):
@@ -135,7 +138,7 @@ let expand t inst rel (tuple : Tuple.t) =
                     take (n - 1) rest
                   end
             in
-            take t.join_limit matches)
+            take t.join_limit (List.sort Tuple.compare matches))
           sources)
       level_links;
     frontier := List.rev !next

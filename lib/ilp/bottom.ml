@@ -259,7 +259,9 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
     together with its IND-chase closure, i.e. one inclusion-class
     instance) sorted by the group's constant multiset, which is pure
     data and therefore identical across information-equivalent
-    schemas.
+    schemas. Inside a group, {!Castor_core.Plan.expand} emits the
+    chased partners in tuple order, so insertion history never moves
+    a literal.
 
     {e Adaptive budget}: a [max_terms] cut is itself schema
     {e dependent} — the same budget admits different constant sets

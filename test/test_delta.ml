@@ -333,17 +333,18 @@ let stream_suite =
 
 (* ---------------- prepared bottom clauses --------------------------- *)
 
-(* A copy with the same storage order: tuples are re-added oldest
-   first. The IND chase emits partners, and keeps the first
-   [join_limit], in storage order, so only such a copy saturates with
-   the same literal order. *)
+(* A copy with the same tuples, re-added newest first, so its storage
+   order is the reverse of [inst]'s. Saturation reads no storage order:
+   lookup hits are sorted, and so are the partners the IND chase keeps,
+   so the copy saturates into the same bottom clauses, literal order
+   included. *)
 let copy_instance inst =
   let schema = Instance.schema inst in
   let out = Instance.create schema in
   List.iter
     (fun (r : Schema.relation) ->
       List.iter (Instance.add out r.Schema.rname)
-        (List.rev (Instance.tuples inst r.Schema.rname)))
+        (Instance.tuples inst r.Schema.rname))
     schema.Schema.relations;
   out
 
@@ -612,6 +613,49 @@ let full_refresh_suite =
         check Alcotest.(list bool) "t(c0) now covered" [ true; false ] got);
   ]
 
+(* ---------------- chase order is a function of the data ----------- *)
+
+let insertion_order_suite =
+  [
+    tc "bottom clauses ignore insertion order on every hand variant, with \
+        the IND chase" (fun () ->
+        let failures =
+          List.concat_map
+            (fun (ds : Datasets.Dataset.t) ->
+              List.concat_map
+                (fun (vname, _) ->
+                  let prep = Experiment.prepare ds vname in
+                  let v = prep.Experiment.pvariant in
+                  let copy = copy_instance v.Datasets.Dataset.vinstance in
+                  let plan =
+                    Plan.build ~mode:`Equality_only v.Datasets.Dataset.vschema
+                  in
+                  let expand rel tu = Plan.expand plan copy rel tu in
+                  let params = prep.Experiment.bottom_params in
+                  List.filter_map
+                    (fun (side, (cov : Coverage.t)) ->
+                      let fresh =
+                        Coverage.build ~expand ~params copy cov.Coverage.examples
+                      in
+                      if
+                        Array.for_all2 Clause.equal cov.Coverage.bottoms
+                          fresh.Coverage.bottoms
+                      then None
+                      else
+                        Some
+                          (Fmt.str "%s/%s: %s" ds.Datasets.Dataset.name vname
+                             side))
+                    [
+                      ("pos", prep.Experiment.all_pos);
+                      ("neg", prep.Experiment.all_neg);
+                    ])
+                ds.Datasets.Dataset.variants)
+            small_datasets
+        in
+        check Alcotest.(list string) "same bottoms on a newest-first copy" []
+          failures);
+  ]
+
 let suite =
   substrate_suite @ view_suite @ planner_suite @ online_suite @ stream_suite
-  @ prepared_suite @ chase_suite @ full_refresh_suite
+  @ prepared_suite @ chase_suite @ full_refresh_suite @ insertion_order_suite
