@@ -58,10 +58,8 @@ let c_ac_refuted = Obs.Counter.create "logic.subsume.ac_refuted"
    this to [c_steps] or they credit AC exits as free. *)
 let c_ac_scans = Obs.Counter.create "logic.subsume.ac_scans"
 
-(* Nothing increments this counter: the engine no longer restarts a
-   search, and coverage finishes an exhausted one without a budget
-   instead. It stays registered under its old name, always 0, because
-   the per-layer benchmark ([perfbench]) reads it for its
+(* Nothing increments this counter. It stays registered, always 0,
+   because the per-layer benchmark ([perfbench]) reads it for its
    [logic.subsume.restarts] metric, as {!Castor_relational.Store.c_lookups}
    stays for [relational.store.lookups]. Delete it once that metric is
    repointed at [ilp.coverage.budget_fallbacks]. *)
