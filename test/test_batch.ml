@@ -752,7 +752,6 @@ let alike_suite =
           ]);
   ]
 
-
 (* ---------------- exact past the step budget ----------------------- *)
 
 let budget_suite =
