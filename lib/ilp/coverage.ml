@@ -28,9 +28,12 @@
     {2 Prepared bottom clauses}
 
     The subsumption route tests the same ground bottom clause against
-    thousands of candidates, so each example's bottom clause is grouped
-    by relation once ({!Subsume.prepare}), on its first subsumption
-    test — never in [build], which does no such set-up work. An entry
+    thousands of candidates, so each example's bottom clause is
+    interned into ids and grouped by relation once
+    ({!Subsume.prepare}), on its first subsumption test — never in
+    [build], which does no such set-up work. The candidate clause is
+    compiled once per call ({!Subsume.compile}) and tested against the
+    target of every position the call decides by subsumption. An entry
     is reset wherever its bottom clause changes: by an incremental
     refresh, per example whose re-saturation changed it; by a full
     refresh, for every example; and [sub] starts with none. Only the
@@ -91,8 +94,8 @@ type t = {
           ({!Bottom.saturation_with_probes}); {!affected_positions}
           tests delta tuples against these *)
   mutable prepared : Subsume.prepared option array;
-      (** per example, its bottom clause grouped by relation for the
-          subsumption route ({!Subsume.prepare}); filled on the
+      (** per example, its bottom clause as the subsumption route's
+          int-coded target ({!Subsume.prepare}); filled on the
           example's first subsumption test, on the calling domain only,
           and reset wherever [bottoms] changes *)
   mutable avg_bottom_len : float;
@@ -584,21 +587,21 @@ let prepared_at t i =
     here, never an answer. *)
 let c_budget_fallbacks = Obs.Counter.create "ilp.coverage.budget_fallbacks"
 
-(* One exact subsumption test. A search that runs out of [max_steps]
-   is counted and run again, on the same domain, with no budget: the
-   answer never depends on the budget. [max_steps] is threaded
-   explicitly (not read off [t]) so the worker closures built over this
-   function hold an immutable snapshot. *)
-let subsumes_noted ~max_steps target clause =
+(* One exact subsumption test of the compiled [pattern]. A search that
+   runs out of [max_steps] is counted and run again, on the same
+   domain, with no budget: the answer never depends on the budget.
+   [max_steps] is threaded explicitly (not read off [t]) so the worker
+   closures built over this function hold an immutable snapshot. *)
+let subsumes_noted ~max_steps target pattern =
   Obs.Counter.incr Stats.c_subsumption_tests;
   let steps0 = Obs.Counter.value Subsume.c_steps in
   let r =
-    match Subsume.subsumes_prepared ~max_steps clause target with
+    match Subsume.subsumes_compiled ~max_steps pattern target with
     | Some b -> b
     | None ->
         Obs.Counter.incr c_budget_fallbacks;
         (* no search reaches [max_int] steps *)
-        Option.get (Subsume.subsumes_prepared ~max_steps:max_int clause target)
+        Option.get (Subsume.subsumes_compiled ~max_steps:max_int pattern target)
   in
   Planner.note_actual (Obs.Counter.value Subsume.c_steps - steps0);
   r
@@ -617,11 +620,13 @@ let compute_positions t clause (positions : int array) =
     | Planner.Subsumption ->
         (* the test closure runs on worker domains, so it captures an
            immutable array of targets resolved here, on the calling
-           domain, instead of reading fields of [t] concurrently *)
+           domain, instead of reading fields of [t] concurrently, and
+           one immutable compiled pattern *)
         let targets = Array.map (prepared_at t) positions in
+        let pattern = Subsume.compile clause in
         let max_steps = t.max_steps in
         let k = Array.length positions in
-        let test j = subsumes_noted ~max_steps targets.(j) clause in
+        let test j = subsumes_noted ~max_steps targets.(j) pattern in
         let force = t.force_parallel and domains = t.domains in
         if domains <= 1 then Array.init k test
         else Parallel.init ~force ~domains k test

@@ -8,33 +8,43 @@
     and clause-reduction tests (where [D] shares variables with [C]).
 
     The engine follows the constraint-satisfaction view of subsumption
-    (Maloberti & Sebag's Django; Kuželka & Železný's Resumer):
+    (Maloberti & Sebag's Django; Kuželka & Železný's Resumer), and it
+    runs on integers only — coverage testing dominates learning time
+    (Section 7.5.3):
 
-    - pattern variables are compiled to dense integers and bindings
-      live in a mutable array with an undo trail, so the search
-      allocates almost nothing — coverage testing dominates learning
-      time (Section 7.5.3) and runs in parallel domains, where
-      allocation pressure serializes on the collector;
-    - per-literal candidate sets are pruned by arc-consistency over
-      variable domains before searching, which refutes most
+    - a {e prepared} target ({!prepare}) interns [D]'s terms, its
+      constants and its frozen variables alike, into dense ids local to
+      [D], and keeps its body as rows of ids grouped by relation and
+      arity;
+    - a {e compiled} pattern ({!compile}) numbers [C]'s variables into
+      binding slots and lists its constants. It is immutable and holds
+      nothing of any target, so one compiled pattern is tested against
+      many targets (coverage compiles once per call) and can be shared
+      with worker domains. A test binds only what depends on the
+      target: the id of each of the pattern's constants and the
+      candidate rows of each literal;
+    - candidate rows are pruned by arc consistency over variable
+      domains, each a bitset over the target's ids, which refutes most
       non-subsumptions in polynomial time;
     - the surviving candidates are searched by backtracking in a
-      static most-bound-first literal order with forward checking of
-      variable-sharing neighbors.
+      static most-bound-first literal order, with forward checking of
+      variable-sharing neighbors, on an int binding array with an undo
+      trail.
+
+    Ids are local to each target rather than those of the example
+    store: store ids are global and sparse, so a domain could not be a
+    word or two of bits, and clause reduction ({!Minimize}) and
+    {!equivalent} test clauses that live in no store.
 
     A step budget bounds pathological instances. The clause-level
     calls ({!subsumes}, {!subsuming_subst}, {!equivalent}, ...) answer
     conservatively when it runs out: "does not subsume", which is what
-    clause reduction ({!Minimize}) wants. The prepared call
-    {!subsumes_prepared} reports the exhaustion instead ([None]), so
+    clause reduction ({!Minimize}) wants. {!subsumes_compiled} and
+    {!subsumes_prepared} report the exhaustion instead ([None]), so
     coverage testing can finish the search without a budget and stay
-    exact (see {!Castor_ilp.Coverage}).
-
-    A target [D] tested against many clauses can be {e prepared} once
-    ({!prepare}: its head plus its body grouped by relation) and tested
-    with {!subsumes_prepared}; {!subsuming_subst} is the prepared call
-    on [prepare d], so both share one search path. A prepared target
-    is immutable: it can be shared with worker domains. *)
+    exact (see {!Castor_ilp.Coverage}). Every clause-level call is a
+    {!compile} and a {!prepare} followed by one test, so all calls
+    share one search path. *)
 
 module Obs = Castor_obs.Obs
 
@@ -65,190 +75,289 @@ let c_ac_scans = Obs.Counter.create "logic.subsume.ac_scans"
    repointed at [ilp.coverage.budget_fallbacks]. *)
 let c_restarts = Obs.Counter.create "logic.subsume.restarts"
 
-type groups = (string, Atom.t array) Hashtbl.t
-
-let group_body (body : Atom.t list) : groups =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Atom.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl a.Atom.rel) in
-      Hashtbl.replace tbl a.Atom.rel (a :: cur))
-    body;
-  let out = Hashtbl.create 16 in
-  Hashtbl.iter (fun k v -> Hashtbl.replace out k (Array.of_list v)) tbl;
-  out
-
 exception Budget_exhausted
 
 exception Refuted
 
 (* ---------------------------------------------------------------- *)
-(* Compiled representation                                           *)
+(* Prepared targets                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(* pattern argument: a constant to match exactly, or a variable slot *)
-type parg = Pconst of Term.t | Pvar of int
+module Ids = Hashtbl.Make (struct
+  type t = Term.t
 
-type plit = {
-  prel : string;
-  pargs : parg array;
-  mutable cands : Atom.t array;  (** AC-filtered candidate literals *)
-  vset : int list;  (** variable slots occurring in the literal *)
-  mutable idx : (int * (Term.t, Atom.t array) Hashtbl.t) list;
-      (** lazily built per-position indexes over [cands]; valid only
-          after arc-consistency, which is the last mutation of
-          [cands] *)
+  let equal = Term.equal
+
+  let hash = Hashtbl.hash
+end)
+
+module Rels = Hashtbl.Make (String)
+
+(* The body literals of one relation and arity: [count] rows of
+   [arity] ids each, in one array. *)
+type group = { rel : string; arity : int; count : int; rows : int array }
+
+(** A subsumption target [D] prepared once for many tests. Coverage
+    tests the same ground bottom clause against thousands of
+    candidates, so it keeps one per example instead of interning the
+    clause on every call. It keeps no hash table: a test finds its
+    literals' groups by binary search, and its few constants by a scan
+    of [terms]. A prepared target is immutable and safe to share across
+    domains. *)
+type prepared = {
+  terms : Term.t array;
+      (** [D]'s distinct terms in order of first occurrence, head
+          first; a term's id is its index *)
+  head_rel : string;
+  head : int array;  (** the head's argument ids *)
+  groups : group array;
+      (** sorted by relation, then arity; rows run from the last body
+          literal to the first, the order the search tries candidates
+          in *)
 }
 
-(* every literal of [arr] from index [i] on has [n] arguments *)
-let rec all_of_arity n (arr : Atom.t array) i =
-  i >= Array.length arr
-  || (Array.length arr.(i).Atom.args = n && all_of_arity n arr (i + 1))
+let compare_group rel arity g =
+  let c = String.compare rel g.rel in
+  if c <> 0 then c else Int.compare arity g.arity
 
-let compile_pattern (lits : Atom.t list) (groups : groups) =
-  let var_ids = Hashtbl.create 16 in
-  let n_vars = ref 0 in
-  let id_of v =
-    match Hashtbl.find_opt var_ids v with
+(** [prepare d] interns [d]'s terms and groups its body by relation and
+    arity. *)
+let prepare (d : Clause.t) =
+  let ids = Ids.create 64 in
+  let terms = ref [] in
+  let id t =
+    match Ids.find_opt ids t with
     | Some i -> i
     | None ->
-        let i = !n_vars in
-        incr n_vars;
-        Hashtbl.add var_ids v i;
+        let i = Ids.length ids in
+        Ids.add ids t i;
+        terms := t :: !terms;
         i
   in
-  let plits =
-    List.map
-      (fun (a : Atom.t) ->
-        let pargs =
-          Array.map
-            (function
-              | Term.Const _ as c -> Pconst c
-              | Term.Var v -> Pvar (id_of v))
-            a.Atom.args
-        in
-        let vset =
-          Array.to_list pargs
-          |> List.filter_map (function Pvar i -> Some i | Pconst _ -> None)
-          |> List.sort_uniq compare
-        in
-        (* a literal only matches candidates of its own relation
-           {e and} arity; with none left it is refuted up front *)
-        let cands =
-          match Hashtbl.find_opt groups a.Atom.rel with
-          | None -> raise Refuted
-          | Some arr ->
-              let n = Array.length a.Atom.args in
-              if all_of_arity n arr 0 then arr
-              else begin
-                let kept =
-                  List.filter
-                    (fun (c : Atom.t) -> Array.length c.Atom.args = n)
-                    (Array.to_list arr)
-                in
-                if kept = [] then raise Refuted;
-                Array.of_list kept
-              end
-        in
-        { prel = a.Atom.rel; pargs; cands; vset; idx = [] })
-      lits
+  let head = Array.map id d.Clause.head.Atom.args in
+  let rows = Rels.create 16 in
+  List.iter
+    (fun (a : Atom.t) ->
+      let r = Array.map id a.Atom.args in
+      match Rels.find_opt rows a.Atom.rel with
+      | Some rs -> rs := r :: !rs
+      | None -> Rels.add rows a.Atom.rel (ref [ r ]))
+    d.Clause.body;
+  let groups =
+    Rels.fold
+      (fun rel { contents = rs } acc ->
+        List.sort_uniq Int.compare (List.map Array.length rs)
+        |> List.fold_left
+             (fun acc arity ->
+               let g = List.filter (fun r -> Array.length r = arity) rs in
+               { rel; arity; count = List.length g; rows = Array.concat g } :: acc)
+             acc)
+      rows []
+    |> Array.of_list
   in
-  (plits, var_ids, !n_vars)
+  Array.sort (fun a b -> compare_group a.rel a.arity b) groups;
+  {
+    terms = Array.of_list (List.rev !terms);
+    head_rel = d.Clause.head.Atom.rel;
+    head;
+    groups;
+  }
 
 (* ---------------------------------------------------------------- *)
-(* Matching against the binding array                                 *)
+(* Compiled patterns                                                  *)
 (* ---------------------------------------------------------------- *)
 
-(* try to match [pl] against candidate [cand]; newly bound slots are
-   pushed on [trail]; on failure the caller must rewind *)
-let match_cand (bindings : Term.t option array) trail (pl : plit) (cand : Atom.t) =
-  let n = Array.length pl.pargs in
+(* A compiled argument [a] is the variable slot [a] when [a >= 0], and
+   the pattern's constant [consts.(lnot a)] otherwise. *)
+type lit = {
+  rel : string;
+  args : int array;
+  vset : int array;  (** the literal's variable slots, sorted, distinct *)
+}
+
+(** A clause [C] compiled for testing against any number of targets:
+    variables numbered into slots (head first, then body by first
+    occurrence), constants listed, and the body literals' argument
+    shapes. Immutable and safe to share across domains. *)
+type compiled = {
+  chead_rel : string;
+  chead : int array;
+  lits : lit array;
+  consts : Term.t array;
+  names : string array;  (** slot → variable name *)
+}
+
+(** [compile c] compiles the clause side of a test once. *)
+let compile (c : Clause.t) =
+  let slots = Hashtbl.create 16 and names = ref [] in
+  let consts = Ids.create 4 and cs = ref [] in
+  let code = function
+    | Term.Var v -> (
+        match Hashtbl.find_opt slots v with
+        | Some s -> s
+        | None ->
+            let s = Hashtbl.length slots in
+            Hashtbl.add slots v s;
+            names := v :: !names;
+            s)
+    | Term.Const _ as t -> (
+        match Ids.find_opt consts t with
+        | Some k -> lnot k
+        | None ->
+            let k = Ids.length consts in
+            Ids.add consts t k;
+            cs := t :: !cs;
+            lnot k)
+  in
+  let chead = Array.map code c.Clause.head.Atom.args in
+  let lits =
+    Array.of_list c.Clause.body
+    |> Array.map (fun (a : Atom.t) ->
+           let args = Array.map code a.Atom.args in
+           let vset =
+             Array.to_list args
+             |> List.filter (fun s -> s >= 0)
+             |> List.sort_uniq Int.compare |> Array.of_list
+           in
+           { rel = a.Atom.rel; args; vset })
+  in
+  {
+    chead_rel = c.Clause.head.Atom.rel;
+    chead;
+    lits;
+    consts = Array.of_list (List.rev !cs);
+    names = Array.of_list (List.rev !names);
+  }
+
+(* ---------------------------------------------------------------- *)
+(* One test: a compiled pattern bound to a prepared target           *)
+(* ---------------------------------------------------------------- *)
+
+type state = {
+  bind : int array;  (** slot → target id; -1 while unbound *)
+  trail : int array;  (** bound slots, in the order they were bound *)
+  mutable top : int;  (** height of [trail] *)
+  cid : int array;  (** pattern constant → target id; -1 when absent *)
+  n_terms : int;  (** the target's id count *)
+}
+
+(* A pattern literal with its candidate rows in the target. *)
+type cands = {
+  lit : lit;
+  rows : int array;  (** the target's group of [lit]'s relation and arity *)
+  mutable cand : int array;
+      (** offsets in [rows] of the candidates left; its first [n] are
+          live during arc consistency, which trims it at the end *)
+  mutable n : int;
+  idx : int array array array;
+      (** per argument position, built on first use, the candidates by
+          their id there; [[||]] until then *)
+}
+
+(* Match [args] against the [Array.length args] ids of [rows] from
+   [off]; newly bound slots are pushed on the trail, and on failure the
+   caller rewinds. *)
+let match_args st args rows off =
+  let n = Array.length args in
   let rec go i =
-    if i >= n then true
-    else
-      let target = cand.Atom.args.(i) in
-      match pl.pargs.(i) with
-      | Pconst c -> Term.equal c target && go (i + 1)
-      | Pvar v -> (
-          match bindings.(v) with
-          | Some t -> Term.equal t target && go (i + 1)
-          | None ->
-              bindings.(v) <- Some target;
-              trail := v :: !trail;
-              go (i + 1))
+    i >= n
+    ||
+    let x = rows.(off + i) and a = args.(i) in
+    (if a < 0 then st.cid.(lnot a) = x
+     else
+       let b = st.bind.(a) in
+       if b >= 0 then b = x
+       else begin
+         st.bind.(a) <- x;
+         st.trail.(st.top) <- a;
+         st.top <- st.top + 1;
+         true
+       end)
+    && go (i + 1)
   in
   go 0
 
-let rewind (bindings : Term.t option array) trail mark =
-  while !trail != mark do
-    match !trail with
-    | v :: rest ->
-        bindings.(v) <- None;
-        trail := rest
-    | [] -> assert false
+let rewind st mark =
+  while st.top > mark do
+    st.top <- st.top - 1;
+    st.bind.(st.trail.(st.top)) <- -1
   done
+
+(* The candidate rows of [l] in [p], found by binary search; a literal
+   without any is refuted up front. *)
+let bind_literal (p : prepared) (l : lit) =
+  let arity = Array.length l.args in
+  let rec find lo hi =
+    if lo >= hi then raise Refuted
+    else
+      let mid = (lo + hi) / 2 in
+      let c = compare_group l.rel arity p.groups.(mid) in
+      if c = 0 then p.groups.(mid)
+      else if c < 0 then find lo mid
+      else find (mid + 1) hi
+  in
+  let g = find 0 (Array.length p.groups) in
+  let cand = Array.make g.count 0 in
+  for r = 1 to g.count - 1 do
+    cand.(r) <- r * arity
+  done;
+  { lit = l; rows = g.rows; cand; n = g.count; idx = Array.make arity [||] }
 
 (* ---------------------------------------------------------------- *)
 (* First-bound-argument candidate index                               *)
 (* ---------------------------------------------------------------- *)
 
-(* Index the candidates of [pl] by their term at position [i], built
-   on first use. Arc-consistency is the last mutation of [pl.cands],
-   so indexes built during the search never go stale. *)
-let index_at (pl : plit) i =
-  match List.assoc_opt i pl.idx with
-  | Some tbl -> tbl
-  | None ->
-      let buckets : (Term.t, Atom.t list) Hashtbl.t =
-        Hashtbl.create (Array.length pl.cands)
-      in
+(* The candidates of [l] indexed by their id at position [i], built on
+   first use. Arc consistency is the last mutation of [l.cand], so
+   indexes built during the search never go stale. A bucket lists its
+   candidates last first. *)
+let index_at st l i =
+  match l.idx.(i) with
+  | [||] ->
+      let fill = Array.make st.n_terms 0 in
       Array.iter
-        (fun (cand : Atom.t) ->
-          let k = cand.Atom.args.(i) in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt buckets k) in
-          Hashtbl.replace buckets k (cand :: cur))
-        pl.cands;
-      let tbl = Hashtbl.create (Hashtbl.length buckets) in
-      Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (Array.of_list v)) buckets;
-      pl.idx <- (i, tbl) :: pl.idx;
-      tbl
+        (fun off ->
+          let x = l.rows.(off + i) in
+          fill.(x) <- fill.(x) + 1)
+        l.cand;
+      let ix = Array.map (fun k -> if k = 0 then [||] else Array.make k 0) fill in
+      Array.iter
+        (fun off ->
+          let x = l.rows.(off + i) in
+          let k = fill.(x) - 1 in
+          fill.(x) <- k;
+          ix.(x).(k) <- off)
+        l.cand;
+      l.idx.(i) <- ix;
+      ix
+  | ix -> ix
 
-(* Candidates of [pl] compatible with the current bindings, narrowed
+(* Candidates of [l] compatible with the current bindings, narrowed
    through the index of the first variable position already bound (the
    ROADMAP's "first bound argument" selection). Constant positions are
-   ignored: arc-consistency already filtered them. *)
-let candidates (bindings : Term.t option array) (pl : plit) =
-  let n = Array.length pl.pargs in
+   ignored: arc consistency already filtered them. *)
+let candidates st l =
+  let args = l.lit.args in
+  let n = Array.length args in
   let rec first i =
-    if i >= n then None
+    if i >= n then l.cand
     else
-      match pl.pargs.(i) with
-      | Pvar v -> (
-          match bindings.(v) with
-          | Some t -> Some (i, t)
-          | None -> first (i + 1))
-      | Pconst _ -> first (i + 1)
+      let a = args.(i) in
+      if a >= 0 && st.bind.(a) >= 0 then (index_at st l i).(st.bind.(a))
+      else first (i + 1)
   in
-  match first 0 with
-  | None -> pl.cands
-  | Some (i, t) -> (
-      match Hashtbl.find_opt (index_at pl i) t with
-      | Some arr -> arr
-      | None -> [||])
+  first 0
 
 (* a literal still has at least one candidate under current bindings *)
-let alive bindings (pl : plit) =
-  let cands = candidates bindings pl in
-  let m = Array.length cands in
-  let scratch = ref [] in
+let alive st l =
+  let cands = candidates st l in
   let rec probe k =
-    if k >= m then false
-    else begin
-      let mark = !scratch in
-      let ok = match_cand bindings scratch pl cands.(k) in
-      rewind bindings scratch mark;
-      ok || probe (k + 1)
-    end
+    k < Array.length cands
+    &&
+    let mark = st.top in
+    let ok = match_args st l.lit.args l.rows cands.(k) in
+    rewind st mark;
+    ok || probe (k + 1)
   in
   probe 0
 
@@ -256,237 +365,253 @@ let alive bindings (pl : plit) =
 (* Arc-consistency pruning                                            *)
 (* ---------------------------------------------------------------- *)
 
-let arc_consistent (bindings : Term.t option array) (plits : plit list) =
-  let domains : Term.Set.t option array = Array.make (Array.length bindings) None in
+let word = Sys.int_size
+
+(* Domains are bitsets over the target's ids, [nw] words per slot, in
+   one array. A slot that the head left unbound has no domain ([known]
+   false), and admits any id, until a literal narrows it. A round
+   filters each literal's candidates against the domains, then narrows
+   the domain of each of its variables to the ids the survivors hold
+   there; rounds repeat until one changes nothing. *)
+let arc_consistent st (ls : cands array) =
+  let nv = Array.length st.bind in
+  let nw = (st.n_terms + word - 1) / word in
+  let dom = Array.make (nv * nw) 0 and known = Array.make nv false in
+  let add bits base x =
+    let w = base + (x / word) in
+    bits.(w) <- bits.(w) lor (1 lsl (x mod word))
+  in
   Array.iteri
-    (fun i b ->
-      match b with
-      | Some t -> domains.(i) <- Some (Term.Set.singleton t)
-      | None -> ())
-    bindings;
-  let compatible (pl : plit) (cand : Atom.t) =
-    let n = Array.length pl.pargs in
+    (fun v x ->
+      if x >= 0 then begin
+        known.(v) <- true;
+        add dom (v * nw) x
+      end)
+    st.bind;
+  let support = Array.make nw 0 in
+  let compatible l off =
+    let args = l.lit.args in
     let rec go i =
-      i >= n
-      || ((match pl.pargs.(i) with
-          | Pconst c -> Term.equal c cand.Atom.args.(i)
-          | Pvar v -> (
-              match domains.(v) with
-              | None -> true
-              | Some d -> Term.Set.mem cand.Atom.args.(i) d))
-         && go (i + 1))
+      i >= Array.length args
+      ||
+      let x = l.rows.(off + i) and a = args.(i) in
+      (if a < 0 then st.cid.(lnot a) = x
+       else
+         (not known.(a))
+         || dom.((a * nw) + (x / word)) land (1 lsl (x mod word)) <> 0)
+      && go (i + 1)
     in
     go 0
+  in
+  let narrow l i a =
+    Array.fill support 0 nw 0;
+    for k = 0 to l.n - 1 do
+      add support 0 l.rows.(l.cand.(k) + i)
+    done;
+    let base = a * nw in
+    let empty = ref true and same = ref known.(a) in
+    for w = 0 to nw - 1 do
+      let s = if known.(a) then support.(w) land dom.(base + w) else support.(w) in
+      support.(w) <- s;
+      if s <> 0 then empty := false;
+      if s <> dom.(base + w) then same := false
+    done;
+    if !empty then raise Refuted;
+    if not !same then begin
+      Array.blit support 0 dom base nw;
+      known.(a) <- true;
+      true
+    end
+    else false
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun pl ->
-        Obs.Counter.add c_ac_scans (Array.length pl.cands);
-        let filtered = Array.of_list (List.filter (compatible pl) (Array.to_list pl.cands)) in
-        if Array.length filtered <> Array.length pl.cands then begin
-          pl.cands <- filtered;
+    Array.iter
+      (fun l ->
+        Obs.Counter.add c_ac_scans l.n;
+        let kept = ref 0 in
+        for k = 0 to l.n - 1 do
+          let off = l.cand.(k) in
+          if compatible l off then begin
+            l.cand.(!kept) <- off;
+            incr kept
+          end
+        done;
+        if !kept <> l.n then begin
+          l.n <- !kept;
           changed := true
         end;
-        if Array.length filtered = 0 then raise Refuted;
-        (* rebuild the domains of the literal's variables *)
+        if !kept = 0 then raise Refuted;
         Array.iteri
-          (fun i arg ->
-            match arg with
-            | Pconst _ -> ()
-            | Pvar v ->
-                let support =
-                  Array.fold_left
-                    (fun acc (cand : Atom.t) -> Term.Set.add cand.Atom.args.(i) acc)
-                    Term.Set.empty filtered
-                in
-                let next =
-                  match domains.(v) with
-                  | None -> support
-                  | Some d -> Term.Set.inter d support
-                in
-                if Term.Set.is_empty next then raise Refuted;
-                (match domains.(v) with
-                | Some d when Term.Set.equal d next -> ()
-                | _ ->
-                    domains.(v) <- Some next;
-                    changed := true))
-          pl.pargs)
-      plits
-  done
+          (fun i a -> if a >= 0 && narrow l i a then changed := true)
+          l.lit.args)
+      ls
+  done;
+  Array.iter
+    (fun l -> if l.n < Array.length l.cand then l.cand <- Array.sub l.cand 0 l.n)
+    ls
 
 (* ---------------------------------------------------------------- *)
 (* Search                                                             *)
 (* ---------------------------------------------------------------- *)
 
 (* static order: most already-bound variables first, then smallest
-   candidate set *)
-let order_literals (bindings : Term.t option array) (plits : plit list) =
-  let arr = Array.of_list plits in
-  let n = Array.length arr in
+   candidate set, then body order *)
+let order_literals st (ls : cands array) =
+  let n = Array.length ls in
   let placed = Array.make n false in
-  let bound = Array.map Option.is_some bindings in
-  (* per-call dummy for array initialization: a shared global here
-     would alias a mutable record across domains *)
-  let dummy_plit =
-    { prel = ""; pargs = [||]; cands = [||]; vset = []; idx = [] }
-  in
-  let out = Array.make n dummy_plit in
-  for slot = 0 to n - 1 do
-    let best = ref (-1) in
-    let best_key = ref (-1, max_int) in
-    for i = 0 to n - 1 do
-      if not placed.(i) then begin
-        let bound_vars = List.length (List.filter (fun v -> bound.(v)) arr.(i).vset) in
-        let key = (bound_vars, Array.length arr.(i).cands) in
-        let better =
-          let bv, gs = !best_key in
-          fst key > bv || (fst key = bv && snd key < gs)
-        in
-        if !best < 0 || better then begin
-          best := i;
-          best_key := key
+  let bound = Array.map (fun x -> x >= 0) st.bind in
+  Array.init n (fun _ ->
+      let best = ref (-1) and best_bound = ref (-1) and best_size = ref max_int in
+      for i = 0 to n - 1 do
+        if not placed.(i) then begin
+          let b =
+            Array.fold_left
+              (fun acc v -> if bound.(v) then acc + 1 else acc)
+              0 ls.(i).lit.vset
+          in
+          let size = Array.length ls.(i).cand in
+          if !best < 0 || b > !best_bound || (b = !best_bound && size < !best_size)
+          then begin
+            best := i;
+            best_bound := b;
+            best_size := size
+          end
         end
-      end
-    done;
-    placed.(!best) <- true;
-    List.iter (fun v -> bound.(v) <- true) arr.(!best).vset;
-    out.(slot) <- arr.(!best)
-  done;
-  out
+      done;
+      placed.(!best) <- true;
+      Array.iter (fun v -> bound.(v) <- true) ls.(!best).lit.vset;
+      ls.(!best))
 
-let search ~max_steps bindings (ordered : plit array) =
+let search ~max_steps st (ordered : cands array) =
   let n = Array.length ordered in
   (* forward-checking neighbors: later literals sharing a variable *)
   let later_neighbors =
     Array.init n (fun i ->
-        let vs = ordered.(i).vset in
-        let out = ref [] in
-        for j = n - 1 downto i + 1 do
-          if List.exists (fun v -> List.mem v ordered.(j).vset) vs then
-            out := ordered.(j) :: !out
-        done;
-        Array.of_list !out)
+        let vs = ordered.(i).lit.vset in
+        List.init (n - 1 - i) (fun k -> ordered.(i + 1 + k))
+        |> List.filter (fun l -> Array.exists (fun v -> Array.mem v l.lit.vset) vs)
+        |> Array.of_list)
   in
   let steps = ref 0 in
-  let trail = ref [] in
-  Fun.protect ~finally:(fun () -> Obs.Counter.add c_steps !steps) @@ fun () ->
   let rec go i =
-    if i >= n then true
-    else begin
-      incr steps;
-      if !steps > max_steps then raise Budget_exhausted;
-      let pl = ordered.(i) in
-      let cands = candidates bindings pl in
-      let m = Array.length cands in
-      let rec try_cand j =
-        if j >= m then false
-        else begin
-          let mark = !trail in
-          if
-            match_cand bindings trail pl cands.(j)
-            && Array.for_all (alive bindings) later_neighbors.(i)
-            && go (i + 1)
-          then true
-          else begin
-            rewind bindings trail mark;
-            try_cand (j + 1)
-          end
-        end
-      in
-      try_cand 0
-    end
+    i >= n
+    || begin
+         incr steps;
+         if !steps > max_steps then raise Budget_exhausted;
+         let l = ordered.(i) in
+         let cands = candidates st l in
+         let rec try_cand j =
+           j < Array.length cands
+           &&
+           let mark = st.top in
+           (match_args st l.lit.args l.rows cands.(j)
+           && Array.for_all (alive st) later_neighbors.(i)
+           && go (i + 1))
+           || begin
+                rewind st mark;
+                try_cand (j + 1)
+              end
+         in
+         try_cand 0
+       end
   in
-  if go 0 then Some bindings else None
+  match go 0 with
+  | found ->
+      Obs.Counter.add c_steps !steps;
+      found
+  | exception e ->
+      Obs.Counter.add c_steps !steps;
+      raise e
 
 (* ---------------------------------------------------------------- *)
 (* Public interface                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(** A subsumption target [D] prepared once for many tests: its head
-    and its body literals grouped by relation. Coverage tests the same
-    ground bottom clause against thousands of candidates, so it keeps
-    one per example instead of regrouping the body on every call. A
-    prepared target is immutable and safe to share across domains. *)
-type prepared = { phead : Atom.t; pgroups : groups }
-
-(** [prepare d] groups [d]'s body by relation. *)
-let prepare (d : Clause.t) = { phead = d.Clause.head; pgroups = group_body d.Clause.body }
-
-(* The witness θ with [Cθ ⊆ D] for [p = prepare D], or [None] when
-   there is none. Raises [Budget_exhausted], counted, when the search
-   takes more than [max_steps] steps before deciding. *)
-let witness ~max_steps (c : Clause.t) (p : prepared) =
+(* The test of [c = compile C] against [p = prepare D]: the target id
+   bound to every slot of [c] by a witness θ with [Cθ ⊆ D], or [None]
+   when there is none. Raises [Budget_exhausted], counted, when the
+   search takes more than [max_steps] steps before deciding. *)
+let run ~max_steps (c : compiled) (p : prepared) =
   Obs.Counter.incr c_calls;
-  match Subst.match_atom Subst.empty c.Clause.head p.phead with
-  | None -> None
-  | Some s0 -> (
-      if c.Clause.body = [] then Some s0
-      else
-        match compile_pattern c.Clause.body p.pgroups with
+  let nv = Array.length c.names in
+  let st =
+    {
+      bind = Array.make nv (-1);
+      trail = Array.make nv 0;
+      top = 0;
+      cid =
+        Array.map
+          (fun t ->
+            let rec scan i =
+              if i >= Array.length p.terms then -1
+              else if Term.equal t p.terms.(i) then i
+              else scan (i + 1)
+            in
+            scan 0)
+          c.consts;
+      n_terms = Array.length p.terms;
+    }
+  in
+  if
+    not
+      (String.equal c.chead_rel p.head_rel
+      && Array.length c.chead = Array.length p.head
+      && match_args st c.chead p.head 0)
+  then None
+  else if Array.length c.lits = 0 then Some st.bind
+  else
+    match Array.map (bind_literal p) c.lits with
+    | exception Refuted ->
+        Obs.Counter.incr c_ac_refuted;
+        None
+    | ls -> (
+        match arc_consistent st ls with
         | exception Refuted ->
             Obs.Counter.incr c_ac_refuted;
             None
-        | plits, var_ids, n_vars -> (
-            let bindings = Array.make n_vars None in
-            (* seed with the head unifier *)
-            let ok =
-              List.for_all
-                (fun (v, t) ->
-                  match Hashtbl.find_opt var_ids v with
-                  | None -> true (* head-only variable *)
-                  | Some i -> (
-                      match bindings.(i) with
-                      | None ->
-                          bindings.(i) <- Some t;
-                          true
-                      | Some t' -> Term.equal t t'))
-                (Subst.to_list s0)
-            in
-            if not ok then None
-            else
-              match arc_consistent bindings plits with
-              | exception Refuted ->
-                  Obs.Counter.incr c_ac_refuted;
-                  None
-              | () -> (
-                  match
-                    search ~max_steps bindings (order_literals bindings plits)
-                  with
-                  | exception Budget_exhausted ->
-                      Obs.Counter.incr c_budget_exhausted;
-                      raise Budget_exhausted
-                  | None -> None
-                  | Some bindings ->
-                      (* assemble the witness substitution *)
-                      let s = ref s0 in
-                      Hashtbl.iter
-                        (fun v i ->
-                          match bindings.(i) with
-                          | Some t -> s := Subst.bind v t !s
-                          | None -> ())
-                        var_ids;
-                      Some !s)))
+        | () -> (
+            match search ~max_steps st (order_literals st ls) with
+            | exception Budget_exhausted ->
+                Obs.Counter.incr c_budget_exhausted;
+                raise Budget_exhausted
+            | false -> None
+            | true -> Some st.bind))
 
-(** [subsumes_prepared ?max_steps c p] decides [C θ-subsumes D] for
-    [p = prepare D]: [Some answer], or [None] when the search ran out
-    of its [max_steps] budget (default 60,000) before deciding. *)
-let subsumes_prepared ?(max_steps = 60_000) c p =
-  match witness ~max_steps c p with
-  | s -> Some (Option.is_some s)
+(** [subsumes_compiled ?max_steps c p] decides [C θ-subsumes D] for
+    [c = compile C] and [p = prepare D]: [Some answer], or [None] when
+    the search ran out of its [max_steps] budget (default 60,000)
+    before deciding. *)
+let subsumes_compiled ?(max_steps = 60_000) c p =
+  match run ~max_steps c p with
+  | r -> Some (Option.is_some r)
   | exception Budget_exhausted -> None
+
+(** [subsumes_prepared ?max_steps c p] is {!subsumes_compiled} on
+    [compile c]. *)
+let subsumes_prepared ?max_steps c p = subsumes_compiled ?max_steps (compile c) p
 
 (** [subsuming_subst ?max_steps c d] returns a witness θ with
     [Cθ ⊆ D], or [None]. Heads must match. A search that runs out of
     its [max_steps] budget (default 60,000) answers [None]: the
     conservative "does not subsume". *)
 let subsuming_subst ?(max_steps = 60_000) c d =
-  try witness ~max_steps c (prepare d) with Budget_exhausted -> None
+  let cc = compile c and p = prepare d in
+  match run ~max_steps cc p with
+  | exception Budget_exhausted -> None
+  | None -> None
+  | Some bind ->
+      let s = ref Subst.empty in
+      Array.iteri
+        (fun v name -> s := Subst.bind name p.terms.(bind.(v)) !s)
+        cc.names;
+      Some !s
 
 (** [subsumes c d] decides [C θ-subsumes D], conservatively under the
     budget like {!subsuming_subst}. *)
-let subsumes ?max_steps c d = Option.is_some (subsuming_subst ?max_steps c d)
+let subsumes ?max_steps c d =
+  subsumes_compiled ?max_steps (compile c) (prepare d) = Some true
 
 (** Reference implementation without pruning or ordering, used to
     cross-check the optimized engine in tests. *)

@@ -342,7 +342,7 @@ let rewrite_suite =
    engines treat target variables as constants, and the battery checks
    they do so identically. *)
 let differential_suite =
-  let pair_gen st ~vars ~consts ~max_arity ~body_len =
+  let pair_gen st ~vars ~consts ~max_arity ~body_len ~target_len =
     let pattern_term () =
       if Random.State.bool st then
         Term.Var (Printf.sprintf "x%d" (Random.State.int st vars))
@@ -369,7 +369,7 @@ let differential_suite =
     let d =
       cl
         (atom "t" [ target_term () ])
-        (List.init (Random.State.int st (body_len + 3)) (fun _ ->
+        (List.init (Random.State.int st (target_len + 1)) (fun _ ->
              random_atom target_term))
     in
     (c, d)
@@ -394,10 +394,66 @@ let differential_suite =
         List.iter
           (fun (vars, consts, max_arity, body_len) ->
             for _ = 1 to 120 do
-              let c, d = pair_gen st ~vars ~consts ~max_arity ~body_len in
+              let c, d =
+                pair_gen st ~vars ~consts ~max_arity ~body_len
+                  ~target_len:(body_len + 2)
+              in
               agree c d
             done)
-          [ (2, 2, 2, 3); (4, 3, 3, 5); (5, 2, 2, 6); (3, 4, 3, 4); (6, 3, 2, 6) ]);
+          [ (2, 2, 2, 3); (4, 3, 3, 5); (5, 2, 2, 6); (3, 4, 3, 4); (6, 3, 2, 6) ];
+        (* Then a wide shape: patterns of up to two literals against up
+           to 160 literals over 401 constants. The answers kept are
+           those of tests that reach arc consistency on targets with
+           more ids than two words of a domain hold: the heads match,
+           the pattern has a body, and each of its relations occurs in
+           the target. *)
+        let wide = ref [] in
+        for _ = 1 to 240 do
+          let c, d =
+            pair_gen st ~vars:8 ~consts:400 ~max_arity:3 ~body_len:2
+              ~target_len:160
+          in
+          agree c d;
+          let p = Subsume.prepare d in
+          if
+            Array.length p.Subsume.terms > 2 * Sys.int_size
+            && c.Clause.body <> []
+            && Subst.match_atom Subst.empty c.Clause.head d.Clause.head <> None
+            && List.for_all
+                 (fun (l : Atom.t) ->
+                   List.exists
+                     (fun (m : Atom.t) -> String.equal l.Atom.rel m.Atom.rel)
+                     d.Clause.body)
+                 c.Clause.body
+          then
+            match Subsume.subsumes_compiled (Subsume.compile c) p with
+            | Some b -> wide := b :: !wide
+            | None -> Alcotest.fail "a wide test ran out of the default budget"
+        done;
+        check Alcotest.bool "wide targets reached arc consistency" true
+          (List.length !wide >= 10);
+        check Alcotest.bool "both answers on wide targets" true
+          (List.mem true !wide && List.mem false !wide);
+        (* A chain of 201 constants whose head is link 150: ids follow
+           first occurrence, so every witness binds y and z to ids past
+           the first two words of a domain. *)
+        let chain =
+          cl
+            (atom "t" [ k "k150" ])
+            (List.init 200 (fun i ->
+                 atom "r2"
+                   [ k (Printf.sprintf "k%d" i); k (Printf.sprintf "k%d" (i + 1)) ]))
+        in
+        List.iter
+          (fun (y_to, expected) ->
+            let c =
+              cl (atom "t" [ v "x" ])
+                [ atom "r2" [ v "x"; v "y" ]; atom "r2" [ v "y"; v y_to ] ]
+            in
+            agree c chain;
+            check Alcotest.bool ("chain through " ^ y_to) expected
+              (Subsume.subsumes c chain))
+          [ ("z", true); ("x", false) ]);
     tc "agreement on head mismatch and empty bodies" (fun () ->
         let c_empty = cl (atom "t" [ v "x" ]) [] in
         let d = cl (atom "t" [ k "a" ]) [ atom "r2" [ k "a"; k "b" ] ] in
@@ -598,6 +654,58 @@ let budget_suite =
           (Subsume.subsumes_prepared ~max_steps:0 c p);
         check Alcotest.(option bool) "generous budget" (Some true)
           (Subsume.subsumes_prepared ~max_steps:100 c p));
+    tc "one compiled pattern answers every target like a fresh compile"
+      (fun () ->
+        (* [h] occurs only in the head. The first two targets intern
+           the same ids in the same order, so [a]'s id in one is [b]'s
+           in the other: a constant id kept from an earlier target
+           flips an answer. *)
+        let c =
+          cl
+            (atom "t" [ v "x"; v "h" ])
+            [ atom "p" [ v "x"; v "y" ]; atom "q" [ v "y"; k "a" ] ]
+        in
+        let targets =
+          [
+            ("holds the constant", cl (atom "t" [ k "n1"; k "n9" ])
+               [ atom "p" [ k "n1"; k "n2" ]; atom "q" [ k "n2"; k "a" ] ]);
+            ("lacks the constant", cl (atom "t" [ k "n1"; k "n9" ])
+               [ atom "p" [ k "n1"; k "n2" ]; atom "q" [ k "n2"; k "b" ] ]);
+            ("head-only variable binds a frozen one", cl (atom "t" [ k "n1"; v "z" ])
+               [ atom "p" [ k "n1"; k "n2" ]; atom "q" [ k "n2"; k "a" ] ]);
+            ("repeated frozen variable", cl (atom "t" [ v "z"; v "z" ])
+               [ atom "p" [ v "z"; v "z" ]; atom "q" [ v "z"; k "a" ] ]);
+            ("p of another arity only", cl (atom "t" [ k "n1"; k "n9" ])
+               [ atom "p" [ k "n1"; k "n2"; k "n3" ]; atom "q" [ k "n2"; k "a" ] ]);
+            ("p of both arities", cl (atom "t" [ k "n1"; k "n9" ])
+               [ atom "p" [ k "n1"; k "n2"; k "n3" ]; atom "p" [ k "n1"; k "n3" ];
+                 atom "q" [ k "n3"; k "a" ] ]);
+          ]
+        in
+        let cc = Subsume.compile c in
+        let exhausted = ref 0 in
+        let test (name, d) =
+          let p = Subsume.prepare d in
+          let naive = Subsume.subsumes_naive c d in
+          check Alcotest.(option bool) (name ^ ": as a fresh compile")
+            (Subsume.subsumes_prepared c p) (Subsume.subsumes_compiled cc p);
+          check Alcotest.(option bool) (name ^ ": as the naive engine")
+            (Some naive) (Subsume.subsumes_compiled cc p);
+          match Subsume.subsumes_compiled ~max_steps:0 cc p with
+          | None ->
+              incr exhausted;
+              check Alcotest.(option bool) (name ^ ": rerun without a budget")
+                (Some naive)
+                (Subsume.subsumes_compiled ~max_steps:max_int cc p)
+          | Some b -> check Alcotest.bool (name ^ ": refuted before search") naive b
+        in
+        List.iter test targets;
+        List.iter test (List.rev targets);
+        check Alcotest.(list bool) "answers"
+          [ true; false; true; true; false; true ]
+          (List.map (fun (_, d) -> Subsume.subsumes c d) targets);
+        check Alcotest.bool "some tests ran out of a zero budget" true
+          (!exhausted > 0));
   ]
 
 let suite =
