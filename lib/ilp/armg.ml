@@ -9,8 +9,10 @@
     Prefix coverage is antitone in the prefix length (adding literals
     only specializes), so the blocking atom is found by binary search
     with O(log n) coverage tests instead of a linear scan. Each test
-    goes through {!Coverage.covers}, whose {!Planner} picks the
-    cheaper of the semi-join kernel and subsumption per prefix.
+    is {!Coverage.covers}: one exact subsumption test of the compiled
+    prefix against [e']'s prepared bottom clause. These probes are
+    most of a learn's coverage calls, and none of them pays for a
+    variant key or a planner decision.
 
     The search is warm-started. It ends with [prefix(b)] covering,
     where [b] is the blocking atom's index. The [repair] hook and

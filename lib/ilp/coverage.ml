@@ -11,25 +11,38 @@
     snapshot of the source instance that saturation reads through the
     {!Castor_relational.Backend} seam, and the example-saturation
     database the batch kernel runs on is a columnar store keyed by
-    example id. Strategy selection per candidate clause — cached
-    vector, batched semi-join, per-example subsumption — is delegated
-    to the cost-based {!Planner}.
+    example id. A {!vector} query picks its strategy per candidate
+    clause — cached vector, batched semi-join or per-example
+    subsumption — through the cost-based {!Planner}. A {!covers} query
+    asks about one example and is always one subsumption test (see
+    below).
 
-    Two optimizations from the paper are implemented here: a
-    memoization table keyed by {!Clause.variant_key} — a one-pass
-    rendering under first-occurrence variable names, so a clause that
-    comes back under other variable names shares one entry — and the
-    generality shortcut: when testing a clause known to be more
-    general than a previously tested one, the examples already covered
-    need not be re-tested. The key is kept cheap on purpose: most lookups come
-    from ARMG's prefix probes ({!covers}), which almost never hit.
-    Coverage tests can also be fanned out over domains ({!Parallel}).
+    Two optimizations from the paper are implemented here for
+    {!vector}: a memoization table keyed by {!Clause.variant_key} — a
+    one-pass rendering under first-occurrence variable names, so a
+    clause that comes back under other variable names shares one entry
+    — and the generality shortcut: when testing a clause known to be
+    more general than a previously tested one, the examples already
+    covered need not be re-tested. Coverage tests can also be fanned
+    out over domains ({!Parallel}).
+
+    {2 One example: [covers]}
+
+    Nearly every {!covers} call is an ARMG prefix probe ({!Armg}). It
+    is one exact subsumption test of the compiled clause against the
+    example's prepared bottom clause, with no variant key, memo lookup
+    or planner decision. A prefix is seldom scored as a full vector
+    first, so the memo almost never answered such a probe, yet every
+    call paid for the key and the decision. Nor is the kernel a better
+    route for one example: {!Castor_relational.Algebra.semijoin_batch}
+    scans and semi-joins every example's rows, whichever examples it is
+    asked about. DESIGN.md gives the measurements.
 
     {2 Prepared bottom clauses}
 
     The subsumption route tests the same ground bottom clause against
     thousands of candidates, so each example's bottom clause is
-    interned into ids and grouped by relation once
+    interned into ids and grouped by relation and arity once
     ({!Subsume.prepare}), on its first subsumption test — never in
     [build], which does no such set-up work. The candidate clause is
     compiled once per call ({!Subsume.compile}) and tested against the
@@ -39,7 +52,8 @@
     refresh, for every example; and [sub] starts with none. Only the
     calling domain fills entries: before fanning out,
     {!compute_positions} resolves the targets of its positions, and
-    the worker closures capture that immutable array.
+    the worker closures capture that immutable array and the compiled
+    clause.
 
     {2 Exact past the step budget}
 
@@ -282,9 +296,9 @@ let span_covers = Obs.Span.create "ilp.coverage.covers"
 let slow_vectors = Obs.Reservoir.create ~capacity:40 "ilp.coverage.slow_vectors"
 
 (* The memo, made visible: [key_builds] is how often a clause's
-   {!Clause.variant_key} is computed (once per [vector] and [covers]
-   call); hits land in {!Stats.c_cache_hits}, misses here, so hit rate
-   is derivable from any metrics dump. *)
+   {!Clause.variant_key} is computed (once per [vector] call); hits
+   land in {!Stats.c_cache_hits}, misses here, so hit rate is
+   derivable from any metrics dump. *)
 let c_key_builds = Obs.Counter.create "ilp.coverage.key_builds"
 
 let c_cache_misses = Obs.Counter.create "ilp.coverage.cache_misses"
@@ -587,22 +601,25 @@ let prepared_at t i =
     here, never an answer. *)
 let c_budget_fallbacks = Obs.Counter.create "ilp.coverage.budget_fallbacks"
 
-(* One exact subsumption test of the compiled [pattern]. A search that
-   runs out of [max_steps] is counted and run again, on the same
+(* One exact subsumption test of the compiled [pattern]. A search
+   that runs out of [max_steps] is counted and run again, on the same
    domain, with no budget: the answer never depends on the budget.
    [max_steps] is threaded explicitly (not read off [t]) so the worker
    closures built over this function hold an immutable snapshot. *)
-let subsumes_noted ~max_steps target pattern =
+let subsumes_exact ~max_steps target pattern =
   Obs.Counter.incr Stats.c_subsumption_tests;
+  match Subsume.subsumes_compiled ~max_steps pattern target with
+  | Some b -> b
+  | None ->
+      Obs.Counter.incr c_budget_fallbacks;
+      (* no search reaches [max_int] steps *)
+      Option.get (Subsume.subsumes_compiled ~max_steps:max_int pattern target)
+
+(* [subsumes_exact] on the planned route: its search steps are noted
+   against the planner's estimate. *)
+let subsumes_noted ~max_steps target pattern =
   let steps0 = Obs.Counter.value Subsume.c_steps in
-  let r =
-    match Subsume.subsumes_compiled ~max_steps pattern target with
-    | Some b -> b
-    | None ->
-        Obs.Counter.incr c_budget_fallbacks;
-        (* no search reaches [max_int] steps *)
-        Option.get (Subsume.subsumes_compiled ~max_steps:max_int pattern target)
-  in
+  let r = subsumes_exact ~max_steps target pattern in
   Planner.note_actual (Obs.Counter.value Subsume.c_steps - steps0);
   r
 
@@ -663,27 +680,15 @@ let cached_vector t clause key =
         Some e.ev
     | Some _ -> None
 
-(** [covers t clause i] tests coverage of the [i]-th example alone. A
-    full vector cached for the same clause (up to variable renaming)
-    answers without any test; otherwise it is {!compute_positions} on
-    the one position, where the planner picks between a
-    single-example kernel run and one subsumption search — for one
-    undecided example the cost model almost always prefers the
-    latter. Nearly every call comes from ARMG's prefix probes, and a
-    prefix is seldom scored as a full vector first, so the lookup
-    almost never hits (a handful in thousands of calls on the learn
-    benchmark workloads): the key it builds must stay one cheap
-    pass. *)
+(** [covers t clause i] tests coverage of the [i]-th example alone:
+    one exact subsumption test of [clause], compiled, against the
+    example's prepared bottom clause. It builds no variant key, looks
+    nothing up in the memo and asks the planner nothing, so nothing is
+    recorded under [ilp.planner.*] (see "One example" above). *)
 let covers t clause i =
   Obs.Span.with_span span_covers @@ fun () ->
   refresh t;
-  let key = cache_key clause in
-  match cached_vector t clause key with
-  | Some v ->
-      Obs.Counter.incr Stats.c_cache_hits;
-      Planner.note_cached ();
-      v.(i)
-  | None -> (compute_positions t clause [| i |]).(0)
+  subsumes_exact ~max_steps:t.max_steps (prepared_at t i) (Subsume.compile clause)
 
 (** [vector ?assume ?within t clause] returns the boolean coverage
     vector of [clause] over all examples.

@@ -30,11 +30,14 @@
 
     Both estimates are in "rows touched", so they are comparable; the
     cheaper strategy wins. The batch kernel dominates on full vectors
-    (one program amortized over all undecided examples) while a single
-    [covers] probe usually prefers subsumption — exactly the split the
-    old hardcoded dispatch could not express. Wide (cyclic-core)
-    decompositions often price themselves out on big relations and
-    land on subsumption — but by cost, never by force.
+    (one program amortized over all undecided examples), while a
+    vector patched at a few positions often prefers subsumption —
+    exactly the split the old hardcoded dispatch could not express.
+    A one-example [Coverage.covers] probe is not planned at all: it is
+    always one subsumption test, because the kernel scans every
+    example's rows whichever examples it is asked about. Wide
+    (cyclic-core) decompositions often price themselves out on big
+    relations and land on subsumption — but by cost, never by force.
 
     Decisions, decomposition widths and estimated-vs-actual costs are
     recorded under [ilp.planner.*]; {!note_actual} is fed with the

@@ -257,23 +257,6 @@ let coverage_suite =
               "assume subset gives the exact vector" full
               (Coverage.vector ~assume:known cov grandfather))
           [ true; false ]);
-    tc "covers answers from a cached full vector" (fun () ->
-        (* regression: covers used to bypass the memo cache and re-run
-           a subsumption test per call *)
-        Stats.reset ();
-        let cov = coverage_fixture () in
-        let full = Coverage.vector cov grandparent_clause in
-        let s0 = Stats.snapshot () in
-        for i = 0 to Coverage.length cov - 1 do
-          check Alcotest.bool
-            (Printf.sprintf "covers %d agrees with the vector" i)
-            full.(i)
-            (Coverage.covers cov grandparent_clause i)
-        done;
-        let d = Stats.diff (Stats.snapshot ()) s0 in
-        check Alcotest.int "no new subsumption tests" 0 d.Stats.subsumption_tests;
-        check Alcotest.int "every answer was a cache hit" (Coverage.length cov)
-          d.Stats.cache_hits);
     tc "α-equivalent clauses share one cache entry only when renamed" (fun () ->
         Stats.reset ();
         let cov = coverage_fixture () in
@@ -637,7 +620,53 @@ let truncation_suite =
           (truncated ()));
   ]
 
+(* ------------------------------ covers ------------------------------ *)
+
+let covers_suite =
+  [
+    tc "covers is one subsumption test, with no variant key and no planner call"
+      (fun () ->
+        let module Obs = Castor_obs.Obs in
+        (* the gender literal gives the clause mixed coverage *)
+        let grandfather =
+          Clause.make grandparent_clause.Clause.head
+            (grandparent_clause.Clause.body
+            @ [ Atom.make "gender" [ v "x"; k "male" ] ])
+        in
+        let cov = coverage_fixture () in
+        (* the memo holds the full vector, and covers still tests *)
+        let full = Coverage.vector cov grandfather in
+        check Alcotest.bool "coverage is mixed" true
+          (Array.mem true full && Array.mem false full);
+        let planner =
+          Planner.
+            [
+              c_decisions; c_choice_semijoin; c_choice_subsumption;
+              c_choice_cached; c_est_cost; c_actual_cost;
+            ]
+        in
+        let values () =
+          List.map Obs.Counter.value
+            (Stats.c_subsumption_tests :: Coverage.c_key_builds :: planner)
+        in
+        for i = 0 to Coverage.length cov - 1 do
+          let before = values () in
+          check Alcotest.bool
+            (Printf.sprintf "covers %d agrees with the vector" i)
+            full.(i)
+            (Coverage.covers cov grandfather i);
+          match List.map2 ( - ) (values ()) before with
+          | tests :: keys :: planned ->
+              check Alcotest.int "one subsumption test" 1 tests;
+              check Alcotest.int "no variant key" 0 keys;
+              check Alcotest.(list int) "nothing under ilp.planner.*"
+                (List.map (fun _ -> 0) planner)
+                planned
+          | _ -> assert false
+        done);
+  ]
+
 let suite =
   examples_suite @ bottom_suite @ coverage_suite @ parallel_suite
   @ scoring_suite @ covering_suite @ armg_suite @ negreduce_suite @ stats_suite
-  @ print_alike_suite @ truncation_suite
+  @ print_alike_suite @ truncation_suite @ covers_suite
