@@ -110,6 +110,8 @@ let reduce ?(max_steps = 8_000) ?(exact_below = 40) (c : Clause.t) =
       removed := false;
       let body = Array.of_list !current.Clause.body in
       let n = Array.length body in
+      (* every test of this scan has [!current] on the clause side *)
+      let pattern = Subsume.compile !current in
       (try
          for i = n - 1 downto 0 do
            let without =
@@ -119,7 +121,10 @@ let reduce ?(max_steps = 8_000) ?(exact_below = 40) (c : Clause.t) =
                  Array.to_list body |> List.filteri (fun j _ -> j <> i);
              }
            in
-           if Subsume.subsumes ~max_steps !current without then begin
+           if
+             Subsume.subsumes_compiled ~max_steps pattern (Subsume.prepare without)
+             = Some true
+           then begin
              current := without;
              removed := true;
              raise Exit (* restart scan on the shrunk clause *)
