@@ -47,12 +47,9 @@ let worker () =
     (* an ordinary raising task must not kill the worker — the task
        wrapper in [init] routes its exception through [note_exn] and
        the caller detects the missing result; fatal exceptions
-       re-raise and terminate the domain *)
-    try t () with
-    | e when is_fatal e ->
-        Atomic.decr n_workers;
-        raise e
-    | _ -> ()
+       re-raise and terminate the domain, which the wrapper has
+       already taken off [n_workers] *)
+    try t () with e when is_fatal e -> raise e | _ -> ()
   done
 
 (* Workers are daemons: they hold no resources that need cleanup, and
@@ -139,17 +136,25 @@ let init ?(force = false) ~domains n (f : int -> 'b) : 'b array =
       for _k = 1 to d - 1 do
         submit (fun () ->
             Obs.Counter.incr c_tasks;
-            (* decrement even if [f] raised, so the caller never
-               hangs; flush counter scratch first so totals are exact
-               once the caller resumes *)
+            (* signal even if [f] raised, so the caller never hangs;
+               flush counter scratch first so totals are exact once
+               the caller resumes. A fatal exception kills this
+               domain, so it leaves [n_workers] before the signal:
+               the caller's next [ensure_workers] must not count it *)
+            let fatal = ref false in
             Fun.protect
               ~finally:(fun () ->
+                if !fatal then Atomic.decr n_workers;
                 Obs.flush ();
                 Mutex.lock done_m;
                 decr remaining;
                 Condition.signal done_cv;
                 Mutex.unlock done_m)
-              compute)
+              (fun () ->
+                try compute ()
+                with e when is_fatal e ->
+                  fatal := true;
+                  raise e))
       done;
       (* the caller participates too; its fatal exception is already
          in [failure] and re-raised after the join below — raising
