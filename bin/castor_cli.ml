@@ -324,6 +324,8 @@ let stats dataset variant algo domains json out seed =
   let prep = Experiment.prepare ds vname in
   Castor_ilp.Coverage.set_domains prep.Experiment.all_pos domains;
   Castor_ilp.Coverage.set_domains prep.Experiment.all_neg domains;
+  (* [prepare]'s saturations run before the reset *)
+  let truncated0 = Obs.Counter.value Castor_ilp.Bottom.c_truncated in
   Obs.reset ();
   let def = Experiment.train_full ~seed prep a in
   write_out out (Obs.to_json ());
@@ -332,8 +334,9 @@ let stats dataset variant algo domains json out seed =
     Fmt.pr "%s on %s/%s learned %d clause(s); observability report:@.@."
       a.Experiment.algo_name dataset vname
       (List.length def.Castor_logic.Clause.clauses);
-    (* derived hot-path health lines: coverage-cache effectiveness and
-       how many subsumption tests ran past the step budget *)
+    (* derived hot-path health lines: coverage-cache effectiveness, how
+       many subsumption tests ran past the step budget and how many
+       saturations stayed truncated *)
     let hits = Obs.Counter.value Castor_ilp.Stats.c_cache_hits in
     let misses = Obs.Counter.value Castor_ilp.Coverage.c_cache_misses in
     let lookups = hits + misses in
@@ -345,6 +348,12 @@ let stats dataset variant algo domains json out seed =
     let fallbacks = Obs.Counter.value Castor_ilp.Coverage.c_budget_fallbacks in
     if fallbacks > 0 then
       Fmt.pr "coverage tests finished past the step budget: %d@." fallbacks;
+    let truncated =
+      truncated0 + Obs.Counter.value Castor_ilp.Bottom.c_truncated
+    in
+    if truncated > 0 then
+      Fmt.pr "saturations still truncated after the last budget doubling: %d@."
+        truncated;
     Fmt.pr "@.";
     print_string (Obs.report ())
   end

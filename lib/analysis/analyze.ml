@@ -75,7 +75,7 @@ let rules : rule list =
     { id = "mode/no-input-positions"; severity = Info;
       doc = "a relation has no key or IND-linked attribute to enter literals through" };
     { id = "mode/saturation-budget"; severity = Warning;
-      doc = "estimated saturation literal/variable counts against max_terms predict subsumption budget exhaustion" };
+      doc = "estimated saturation literal/variable counts against max_terms predict subsumption budget exhaustion; Problem.make's gate also reports saturations still truncated after the last budget doubling" };
     (* source lints (AST engine, lib/analysis/ast_lint) *)
     { id = "backend/direct-instance-access"; severity = Error;
       doc = "OCaml source performs Instance/Store lookups directly instead of reading through the Backend seam" };

@@ -87,28 +87,56 @@ let run_gate (gate : gate) ~(bottom_params : Bottom.params) ~const_pool
         ~subject:(Fmt.str "problem %s" target.Schema.rname)
         diags
 
+(* The post-saturation half of the gate: [n] saturations of the
+   coverage builds were still truncated after the last budget doubling
+   ([ilp.saturation.truncated]). Their bottom clauses may differ across
+   schema variants, which Lemma 7.5 does not cover, so the gate reports
+   them as one warning. *)
+let truncation_gate (gate : gate) target n =
+  match gate with
+  | (`Warn | `Strict) as g when n > 0 ->
+      Obs.Counter.incr c_gate_warnings;
+      Diagnostic.apply_gate g
+        ~subject:(Fmt.str "problem %s" target.Schema.rname)
+        [
+          Diagnostic.make ~rule:"mode/saturation-budget"
+            ~severity:Diagnostic.Warning
+            ~subject:(Fmt.str "target %s" target.Schema.rname)
+            "%d saturation(s) still truncated after the last max_terms \
+             doubling: their bottom clauses may differ across schema \
+             variants; raise max_terms"
+            n;
+        ]
+  | _ -> ()
+
 (** [make ?bottom_params ?const_pool ?seed ?expand ?gate inst target
     train] assembles a problem, precomputing the example saturations.
     The optional [expand] hook threads Castor's IND chase into the
     saturations used for coverage testing. [gate] controls the
     pre-learning static analysis: [`Warn] (default) prints
-    warning/error diagnostics, [`Strict] raises {!Rejected} on errors,
-    [`Off] disables the check. *)
+    warning/error diagnostics, and a warning when saturations stayed
+    truncated, [`Strict] raises {!Rejected} on errors, [`Off] disables
+    the check. *)
 let make ?(bottom_params = Bottom.default_params) ?(const_pool = []) ?(seed = 42)
     ?expand ?(gate = `Warn) instance target (train : Examples.t) =
   run_gate gate ~bottom_params ~const_pool instance target;
-  {
-    instance;
-    target;
-    train;
-    pos_cov =
-      Coverage.build ?expand ~params:bottom_params instance train.Examples.pos;
-    neg_cov =
-      Coverage.build ?expand ~params:bottom_params instance train.Examples.neg;
-    const_pool;
-    bottom_params;
-    rng = Random.State.make [| seed |];
-  }
+  let truncated0 = Obs.Counter.value Bottom.c_truncated in
+  let p =
+    {
+      instance;
+      target;
+      train;
+      pos_cov =
+        Coverage.build ?expand ~params:bottom_params instance train.Examples.pos;
+      neg_cov =
+        Coverage.build ?expand ~params:bottom_params instance train.Examples.neg;
+      const_pool;
+      bottom_params;
+      rng = Random.State.make [| seed |];
+    }
+  in
+  truncation_gate gate target (Obs.Counter.value Bottom.c_truncated - truncated0);
+  p
 
 (** [recheck ?gate p] re-runs the pre-learning static analysis over an
     already-built problem — used by the unified {!Learner} entry point

@@ -618,6 +618,36 @@ let truncation_suite =
         saturate None;
         check Alcotest.int "completed saturations are not counted" (before + 1)
           (truncated ()));
+    tc "a saturation still cut after the last doubling warns through the gate"
+      (fun () ->
+        let module Problem = Castor_learners.Problem in
+        let warnings () =
+          Castor_obs.Obs.Counter.value Problem.c_gate_warnings
+        in
+        let train = { Examples.pos = [| first_pos |]; neg = [||] } in
+        (* warnings of [Problem.make] beyond those of the static
+           analysis alone, which [recheck] reruns *)
+        let extra ?gate max_terms depth =
+          let w0 = warnings () in
+          let p =
+            Problem.make ?gate
+              ~bottom_params:{ Bottom.default_params with max_terms; depth }
+              family_inst family.Castor_datasets.Dataset.target train
+          in
+          let w1 = warnings () in
+          Problem.recheck ?gate p;
+          w1 - w0 - (warnings () - w1)
+        in
+        (* the fixture of the test above: still cut at 16 constants *)
+        check Alcotest.int "one warning for the truncated saturation" 1
+          (extra (Some 2) 5);
+        check Alcotest.int "strict warns the same" 1
+          (extra ~gate:`Strict (Some 2) 5);
+        check Alcotest.int "nothing when the gate is off" 0
+          (extra ~gate:`Off (Some 2) 5);
+        check Alcotest.int "none with the default params" 0
+          (extra Bottom.default_params.Bottom.max_terms
+             Bottom.default_params.Bottom.depth));
   ]
 
 (* ------------------------------ covers ------------------------------ *)
