@@ -133,28 +133,29 @@ let init ?(force = false) ~domains n (f : int -> 'b) : 'b array =
           note_exn e;
           if is_fatal e then raise e
       in
+      (* flush counter scratch first so totals are exact once the
+         caller resumes *)
+      let signal () =
+        Obs.flush ();
+        Mutex.lock done_m;
+        decr remaining;
+        Condition.signal done_cv;
+        Mutex.unlock done_m
+      in
       for _k = 1 to d - 1 do
         submit (fun () ->
             Obs.Counter.incr c_tasks;
-            (* signal even if [f] raised, so the caller never hangs;
-               flush counter scratch first so totals are exact once
-               the caller resumes. A fatal exception kills this
-               domain, so it leaves [n_workers] before the signal:
-               the caller's next [ensure_workers] must not count it *)
-            let fatal = ref false in
-            Fun.protect
-              ~finally:(fun () ->
-                if !fatal then Atomic.decr n_workers;
-                Obs.flush ();
-                Mutex.lock done_m;
-                decr remaining;
-                Condition.signal done_cv;
-                Mutex.unlock done_m)
-              (fun () ->
-                try compute ()
-                with e when is_fatal e ->
-                  fatal := true;
-                  raise e))
+            (* signal even if [f] raised, so the caller never hangs.
+               Only a fatal exception leaves [compute], and it kills
+               this domain, so the domain leaves [n_workers] before
+               the signal: the caller's next [ensure_workers] must not
+               count it *)
+            match compute () with
+            | () -> signal ()
+            | exception e ->
+                Atomic.decr n_workers;
+                signal ();
+                raise e)
       done;
       (* the caller participates too; its fatal exception is already
          in [failure] and re-raised after the join below — raising
