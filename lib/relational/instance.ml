@@ -44,9 +44,20 @@ let bucket t rel =
   | Some b -> b
   | None -> raise (Schema.Unknown_relation rel)
 
-(** [mem t rel tuple] tests tuple presence (set semantics). *)
+(** [find t rel pos v] returns the tuples of [rel] whose column [pos]
+    holds constant [v] (indexed lookup). *)
+let find t rel pos v =
+  match Hashtbl.find_opt t.index (rel, pos, v) with
+  | Some l -> !l
+  | None -> []
+
+(** [mem t rel tuple] tests tuple presence (set semantics) through the
+    column-0 index bucket; a 0-ary tuple has none, so it scans.
+    @raise Schema.Unknown_relation if [rel] is not in the schema. *)
 let mem t rel (tuple : Tuple.t) =
-  List.exists (Tuple.equal tuple) !(bucket t rel)
+  let b = bucket t rel in
+  if Tuple.arity tuple = 0 then List.exists (Tuple.equal tuple) !b
+  else List.exists (Tuple.equal tuple) (find t rel 0 tuple.(0))
 
 (* Mutators come in two layers: [insert]/[delete] touch the store and
    indexes and report effectiveness without logging, so a batch
@@ -73,9 +84,9 @@ let insert t rel (tuple : Tuple.t) =
 let delete t rel (tuple : Tuple.t) =
   if Tuple.arity tuple <> Schema.arity t.schema rel then
     raise (Arity_mismatch rel);
-  let b = bucket t rel in
-  if not (List.exists (Tuple.equal tuple) !b) then false
+  if not (mem t rel tuple) then false
   else begin
+    let b = bucket t rel in
     b := List.filter (fun tu -> not (Tuple.equal tu tuple)) !b;
     Array.iteri
       (fun i v ->
@@ -164,13 +175,6 @@ let cardinality t rel = List.length (tuples t rel)
 let size t =
   Hashtbl.fold (fun _ b acc -> acc + List.length !b) t.store 0
 
-(** [find t rel pos v] returns the tuples of [rel] whose column [pos]
-    holds constant [v] (indexed lookup). *)
-let find t rel pos v =
-  match Hashtbl.find_opt t.index (rel, pos, v) with
-  | Some l -> !l
-  | None -> []
-
 (** [find_matching t rel bindings] returns tuples agreeing with every
     [(position, value)] binding; uses the index on the first binding. *)
 let find_matching t rel = function
@@ -181,25 +185,16 @@ let find_matching t rel = function
         (find t rel p0 v0)
 
 (** [tuples_containing t rel v] returns all tuples of [rel] in which
-    constant [v] occurs at any position. *)
+    constant [v] occurs at any position, each once: a tuple is taken
+    from the index bucket of the first position that holds [v]. *)
 let tuples_containing t rel v =
   let ar = Schema.arity t.schema rel in
-  let seen = Hashtbl.create 8 in
   let out = ref [] in
   for pos = 0 to ar - 1 do
     List.iter
-      (fun tu ->
-        let h = Tuple.hash tu in
-        let dup =
-          match Hashtbl.find_opt seen h with
-          | Some l -> List.exists (Tuple.equal tu) l
-          | None -> false
-        in
-        if not dup then begin
-          Hashtbl.replace seen h
-            (tu :: (Option.value ~default:[] (Hashtbl.find_opt seen h)));
-          out := tu :: !out
-        end)
+      (fun (tu : Tuple.t) ->
+        let rec earlier p = p < pos && (Value.equal tu.(p) v || earlier (p + 1)) in
+        if not (earlier 0) then out := tu :: !out)
       (find t rel pos v)
   done;
   !out
