@@ -523,17 +523,16 @@ let incremental () =
     Castor_ilp.Examples.mutation_stream ~seed:17 ~length:32 inst
       ds.Dataset.examples
   in
-  let b = Backend.of_instance inst in
-  let gen0 = Backend.generation b in
+  let gen0 = Backend.generation inst in
   let t0 = Unix.gettimeofday () in
   List.iteri
     (fun i d ->
-      Backend.apply b [ d ];
+      Backend.apply inst [ d ];
       if i mod 4 = 3 then ignore (run_all pos))
     stream;
   let final = run_all pos in
   let t_inc = Unix.gettimeofday () -. t0 in
-  let effective = Backend.generation b - gen0 in
+  let effective = Backend.generation inst - gen0 in
   (* the correctness pin and the cost the delta path avoids: rebuild
      the whole structure on the mutated instance, then compare *)
   let t1 = Unix.gettimeofday () in

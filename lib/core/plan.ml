@@ -68,9 +68,6 @@ let chase_links t rel = Option.value ~default:[] (Hashtbl.find_opt t.chase rel)
     value covers; decompositions and IND discovery never declare
     one.) *)
 let expand t inst rel (tuple : Tuple.t) =
-  (* the chase's join probes read through the backend seam, like every
-     other clause-evaluation path *)
-  let module B = (val Backend.of_instance inst : Backend.S) in
   (* keyed on the tuple itself: a printed key would merge s(k,5) with
      s(k,"5"), and s(k,"a, b","c") with s(k,"a","b, c") *)
   let seen : (string * Tuple.t, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -115,7 +112,9 @@ let expand t inst rel (tuple : Tuple.t) =
               List.map2 (fun sp dp -> (dp, tu.(sp))) cl.src_pos cl.dst_pos
             in
             List.iter (fun (_, v) -> Castor_ilp.Bottom.note_probe v) bindings;
-            let matches = B.find_matching d bindings in
+            (* the join probes read through the backend seam, like
+               every other clause-evaluation path *)
+            let matches = Backend.find_matching inst d bindings in
             let rec take n = function
               | [] -> ()
               | m :: rest ->

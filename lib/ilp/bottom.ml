@@ -118,19 +118,10 @@ let max_budget_growths = 3
    plus whether the [max_terms] budget cut it short — i.e. the budget
    tripped while frontier constants were still pending and iterations
    remained, so a larger budget could admit more literals. *)
-let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
-  (* The frontier neighborhood query always reads through the
-     {!Backend} seam; the default wraps [inst] itself, and
-     {!Coverage.build} passes its columnar snapshot of [inst]. Hits
-     are canonically re-sorted below, so any backend serving the same
-     tuple set is equivalent. *)
-  let backend =
-    match backend with Some b -> b | None -> Backend.of_instance inst
-  in
-  let lookup =
-    let module B = (val backend : Backend.S) in
-    B.tuples_containing
-  in
+let saturate_once ~expand ~params inst (e : Atom.t) =
+  (* The frontier neighborhood query reads the live instance through
+     the {!Backend} seam. Hits are canonically re-sorted below, so the
+     instance's enumeration order never reaches the clause. *)
   let schema = Instance.schema inst in
   let rels = List.map (fun (r : Schema.relation) -> r.Schema.rname) schema.Schema.relations in
   let expandable_pos =
@@ -197,10 +188,12 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
              (fun rel ->
                (* canonical hit order so per-relation caps select the
                   same data in every schema — and, via the total
-                  tie-break, independently of the lookup provider's
+                  tie-break, independently of the instance's
                   enumeration order *)
                let hits =
-                 List.map (fun tu -> (tuple_key tu, tu)) (lookup rel v)
+                 List.map
+                   (fun tu -> (tuple_key tu, tu))
+                   (Backend.tuples_containing inst rel v)
                  |> List.sort (fun (ka, a) (kb, b) ->
                         let c = String.compare ka kb in
                         if c <> 0 then c else Tuple.compare a b)
@@ -273,11 +266,11 @@ let saturate_once ~expand ?backend ~params inst (e : Atom.t) =
     untruncated; retries are counted under
     [ilp.saturation.budget_growths], and a saturation still cut after
     the last doubling under [ilp.saturation.truncated]. *)
-let saturation ?(expand = fun _ _ -> []) ?backend ~params inst (e : Atom.t) =
+let saturation ?(expand = fun _ _ -> []) ~params inst (e : Atom.t) =
   Obs.Span.with_span span_saturation @@ fun () ->
   Obs.Counter.incr Stats.c_saturations;
   let rec go params growths =
-    let clause, truncated = saturate_once ~expand ?backend ~params inst e in
+    let clause, truncated = saturate_once ~expand ~params inst e in
     match params.max_terms with
     | Some m when truncated && growths < max_budget_growths ->
         Obs.Counter.incr c_budget_growths;
@@ -288,7 +281,7 @@ let saturation ?(expand = fun _ _ -> []) ?backend ~params inst (e : Atom.t) =
   in
   go params 0
 
-(** [saturation_with_probes ?expand ?backend ~params inst e] is
+(** [saturation_with_probes ?expand ~params inst e] is
     [saturation] together with its probe set: the distinct values its
     data reads were keyed on, over every budget attempt, sorted.
 
@@ -298,14 +291,14 @@ let saturation ?(expand = fun _ _ -> []) ?backend ~params inst (e : Atom.t) =
     probe value, every read of every attempt answers as before, each
     attempt takes the same path, and the saturation — probe set
     included — is unchanged. *)
-let saturation_with_probes ?expand ?backend ~params inst e =
+let saturation_with_probes ?expand ~params inst e =
   let seen = Hashtbl.create 64 in
   let outer = Domain.DLS.get probe_recorder in
   Domain.DLS.set probe_recorder (Some seen);
   let clause =
     Fun.protect
       ~finally:(fun () -> Domain.DLS.set probe_recorder outer)
-      (fun () -> saturation ?expand ?backend ~params inst e)
+      (fun () -> saturation ?expand ~params inst e)
   in
   let probes = Array.of_seq (Hashtbl.to_seq_keys seen) in
   Array.sort Value.compare probes;
@@ -382,11 +375,11 @@ let prune_redundant (bc : Clause.t) =
   end;
   pruned
 
-(** [bottom_clause ?expand ?backend ?prune ~params inst e] is the
+(** [bottom_clause ?expand ?prune ~params inst e] is the
     variabilized bottom clause [⊥e]. With [~prune:true] the statically
     redundant literals are dropped before the clause is handed to
     ARMG. *)
-let bottom_clause ?expand ?backend ?(prune = false) ~params inst e =
-  let sat = saturation ?expand ?backend ~params inst e in
+let bottom_clause ?expand ?(prune = false) ~params inst e =
+  let sat = saturation ?expand ~params inst e in
   let bc = variabilize ~schema:(Instance.schema inst) ~params sat in
   if prune then prune_redundant bc else bc

@@ -6,12 +6,11 @@
     reused by every learner, exactly like the paper's per-example
     saturations.
 
-    Coverage runs inside one engine, the interned
-    {!Castor_relational.Columnar} store: [build] loads a columnar
-    snapshot of the source instance that saturation reads through the
-    {!Castor_relational.Backend} seam, and the example-saturation
-    database the batch kernel runs on is a columnar store keyed by
-    example id. A {!vector} query picks its strategy per candidate
+    Saturation reads the source instance in place, through the
+    {!Castor_relational.Backend} functions, and the example-saturation
+    database the batch kernel runs on is an interned
+    {!Castor_relational.Columnar} store keyed by example id. A {!vector}
+    query picks its strategy per candidate
     clause — cached vector, batched semi-join or per-example
     subsumption — through the cost-based {!Planner}. A {!covers} query
     asks about one example and is always one subsumption test (see
@@ -67,12 +66,12 @@
 
     {2 Online updates}
 
-    The structure subscribes to the source backend's delta stream
+    The structure subscribes to the source instance's delta stream
     ({!Backend.subscribe}). When the source mutates, the next coverage
     query drains the pending deltas and {e patches} itself instead of
-    rebuilding: the private saturation substrate absorbs the batch
-    ([Backend.apply]), and only the examples whose {e probe set} holds
-    a value of a delta tuple are re-saturated. The probe set of an
+    rebuilding: only the examples whose {e probe set} holds a value of
+    a delta tuple are re-saturated, against the instance as it now
+    is. The probe set of an
     example is what its saturation read the data on — every constant
     it looked up and every value the IND chase bound a probe on
     ({!Bottom.saturation_with_probes}) — so a delta holding none of
@@ -125,14 +124,10 @@ type t = {
   mutable force_parallel : bool;
       (** fan out even when the runtime reports one hardware thread —
           used by tests that must exercise real worker domains *)
-  inst : Instance.t;  (** the source database the examples live in *)
-  source : Backend.t;
-      (** zero-copy backend over [inst]; its delta stream drives the
-          incremental refresh and its generation marks staleness *)
-  mutable data : Backend.t;
-      (** the saturation substrate, a columnar snapshot of [inst];
-          kept alive across refreshes so deltas can be absorbed
-          instead of reloading the whole instance *)
+  inst : Instance.t;
+      (** the source database the examples live in; saturation reads
+          it in place, its delta stream drives the incremental refresh
+          and its generation marks staleness *)
   expand : (string -> Tuple.t -> (string * Tuple.t) list) option;
   params : Bottom.params;
   mutable ex_store : Columnar.t option;
@@ -145,7 +140,7 @@ type t = {
           via {!sub} remaps indexes but shares the store *)
   mutable batch_enabled : bool;
   mutable src_gen : int;
-      (** [source]'s generation when [bottoms]/[ex_store] were last
+      (** [inst]'s generation when [bottoms]/[ex_store] were last
           brought up to date *)
   pending : Delta.t list ref;
       (** deltas the subscription delivered since [src_gen], newest
@@ -216,11 +211,9 @@ let example_store inst (examples : Atom.t array)
   end
 
 (* Bottom clauses and probe sets of every example. *)
-let saturate_all ?expand ~params ~backend inst examples =
+let saturate_all ?expand ~params inst examples =
   let sats =
-    Array.map
-      (fun e -> Bottom.saturation_with_probes ?expand ~backend ~params inst e)
-      examples
+    Array.map (fun e -> Bottom.saturation_with_probes ?expand ~params inst e) examples
   in
   (Array.map fst sats, Array.map snd sats)
 
@@ -239,24 +232,20 @@ let mean_bottom_len (bottoms : Clause.t array) =
 let default_max_steps = 250_000
 
 (** [build ?expand ~params ?max_steps inst examples] precomputes the
-    saturations of [examples] over a columnar snapshot of [inst] and
-    loads them into the example store the batched coverage kernel runs
-    against. The structure subscribes to [inst]'s delta stream, so
-    later mutations are absorbed incrementally; that stays exact only
-    if [expand] reports every value its data probes bind through
+    saturations of [examples] over [inst] and loads them into the
+    example store the batched coverage kernel runs against. The
+    structure subscribes to [inst]'s delta stream, so later mutations
+    are absorbed incrementally; that stays exact only if [expand]
+    reports every value its data probes bind through
     {!Bottom.note_probe}, as {!Castor_core.Plan.expand} does.
     [max_steps] (default {!default_max_steps}) only picks which
     subsumption tests are finished as budget fallbacks. *)
 let build ?expand ~params ?(max_steps = default_max_steps) inst
     (examples : Atom.t array) =
-  let source = Backend.of_instance inst in
-  let data = Backend.load Backend.default_spec inst in
-  let bottoms, probes =
-    saturate_all ?expand ~params ~backend:data inst examples
-  in
+  let bottoms, probes = saturate_all ?expand ~params inst examples in
   let pending = ref [] in
-  Backend.subscribe source (fun ds -> pending := List.rev_append ds !pending);
-  let src_gen = Backend.generation source in
+  Backend.subscribe inst (fun ds -> pending := List.rev_append ds !pending);
+  let src_gen = Backend.generation inst in
   {
     examples;
     bottoms;
@@ -269,8 +258,6 @@ let build ?expand ~params ?(max_steps = default_max_steps) inst
     domains = 1;
     force_parallel = false;
     inst;
-    source;
-    data;
     expand;
     params;
     ex_store = example_store inst examples bottoms;
@@ -340,11 +327,8 @@ let dirty_log_cap = 32
 (* Rebuild everything derived from the source instance, from scratch. *)
 let full_refresh t gen =
   Obs.Counter.incr c_full_refreshes;
-  let data = Backend.load Backend.default_spec t.inst in
-  t.data <- data;
   let bottoms, probes =
-    saturate_all ?expand:t.expand ~params:t.params ~backend:data t.inst
-      t.examples
+    saturate_all ?expand:t.expand ~params:t.params t.inst t.examples
   in
   t.bottoms <- bottoms;
   t.probes <- probes;
@@ -407,8 +391,8 @@ let resaturate t i =
   Obs.Counter.incr c_delta_rounds;
   let old_b = t.bottoms.(i) in
   let new_b, probes =
-    Bottom.saturation_with_probes ?expand:t.expand ~backend:t.data
-      ~params:t.params t.inst t.examples.(i)
+    Bottom.saturation_with_probes ?expand:t.expand ~params:t.params t.inst
+      t.examples.(i)
   in
   t.probes.(i) <- probes;
   if Clause.equal old_b new_b then begin
@@ -423,9 +407,6 @@ let resaturate t i =
   end
 
 let incremental_refresh t ds gen =
-  (* catch the private saturation snapshot up; set semantics make
-     re-application a no-op when a shared [sub] already absorbed it *)
-  Backend.apply t.data ds;
   Obs.Counter.add c_delta_applied (List.length ds);
   let changed = List.filter (resaturate t) (affected_positions t ds) in
   if changed <> [] then begin
@@ -455,7 +436,7 @@ let incremental_refresh t ds gen =
    facts by eid and the fallback keeps that path simple and obviously
    correct. Everything else rides the patch path. *)
 let refresh t =
-  let gen = Backend.generation t.source in
+  let gen = Backend.generation t.inst in
   if gen <> t.src_gen then begin
     Obs.Counter.incr c_refreshes;
     let ds = List.rev !(t.pending) in
@@ -480,7 +461,7 @@ let refresh t =
     and idempotently. *)
 let sub t idxs =
   let pending = ref !(t.pending) in
-  Backend.subscribe t.source (fun ds -> pending := List.rev_append ds !pending);
+  Backend.subscribe t.inst (fun ds -> pending := List.rev_append ds !pending);
   let bottoms = Array.map (fun i -> t.bottoms.(i)) idxs in
   {
     examples = Array.map (fun i -> t.examples.(i)) idxs;
@@ -494,8 +475,6 @@ let sub t idxs =
     domains = t.domains;
     force_parallel = t.force_parallel;
     inst = t.inst;
-    source = t.source;
-    data = t.data;
     expand = t.expand;
     params = t.params;
     ex_store = t.ex_store;

@@ -51,18 +51,17 @@ let store_facts (fs : fact_store) rel =
   match Hashtbl.find_opt fs rel with Some s -> Atom.Set.elements !s | None -> []
 
 (* all substitutions satisfying [body]: literals may match base
-   relations behind [backend] or derived facts in [fs]; when [delta]
-   is given, at least one literal must match inside [delta]
+   relations of [inst] or derived facts in [fs]; when [delta] is
+   given, at least one literal must match inside [delta]
    (semi-naive) *)
-let rec solve (backend : Backend.t) (fs : fact_store) ?delta body subst emit =
-  let module B = (val backend) in
+let rec solve inst (fs : fact_store) ?delta body subst emit =
   match body with
   | [] -> (match delta with None -> emit subst | Some _ -> ())
   | (lit : Atom.t) :: rest ->
       let lit' = Subst.apply_atom subst lit in
       (* candidates from the base data *)
       let base_candidates =
-        if B.has_relation lit'.Atom.rel then begin
+        if Backend.has_relation inst lit'.Atom.rel then begin
           (* use the first bound argument for an indexed probe *)
           let bound =
             Array.to_list lit'.Atom.args
@@ -70,7 +69,7 @@ let rec solve (backend : Backend.t) (fs : fact_store) ?delta body subst emit =
             |> List.filter_map (fun (i, t) ->
                    match t with Term.Const v -> Some (i, v) | Term.Var _ -> None)
           in
-          B.find_matching lit'.Atom.rel bound
+          Backend.find_matching inst lit'.Atom.rel bound
           |> List.map (Atom.of_tuple lit'.Atom.rel)
         end
         else []
@@ -80,8 +79,8 @@ let rec solve (backend : Backend.t) (fs : fact_store) ?delta body subst emit =
         match Subst.match_atom subst lit cand with
         | None -> ()
         | Some subst' ->
-            if in_delta then solve backend fs rest subst' emit
-            else solve backend fs ?delta rest subst' emit
+            if in_delta then solve inst fs rest subst' emit
+            else solve inst fs ?delta rest subst' emit
       in
       (match delta with
       | None -> List.iter (try_cand ~in_delta:false) base_candidates
@@ -119,13 +118,12 @@ let head_instance (cl : Clause.t) subst =
     must be safe.
     @raise Unsafe_clause if a head variable is unbound by its body. *)
 let run ?(max_rounds = 10_000) inst (clauses : Clause.t list) : fact_store =
-  let backend = Backend.of_instance inst in
   let fs : fact_store = Hashtbl.create 8 in
   (* round 0: naive evaluation against the base instance only *)
   let delta : fact_store ref = ref (Hashtbl.create 8) in
   List.iter
     (fun (cl : Clause.t) ->
-      solve backend fs cl.Clause.body Subst.empty (fun subst ->
+      solve inst fs cl.Clause.body Subst.empty (fun subst ->
           let h = head_instance cl subst in
           if store_add fs h then ignore (store_add !delta h)))
     clauses;
@@ -135,7 +133,7 @@ let run ?(max_rounds = 10_000) inst (clauses : Clause.t list) : fact_store =
     let next_delta : fact_store = Hashtbl.create 8 in
     List.iter
       (fun (cl : Clause.t) ->
-        solve backend fs ~delta:!delta cl.Clause.body Subst.empty (fun subst ->
+        solve inst fs ~delta:!delta cl.Clause.body Subst.empty (fun subst ->
             let h = head_instance cl subst in
             if not (store_mem fs h) then begin
               ignore (store_add fs h);
@@ -172,7 +170,6 @@ let view_facts v rel = store_facts v.facts rel
    Sound because the program is monotone: no old fact loses support
    under an insertion. *)
 let extend_with_adds v adds =
-  let backend = Backend.of_instance v.inst in
   let delta : fact_store ref = ref (Hashtbl.create 8) in
   List.iter
     (fun (rel, tu) -> ignore (store_add !delta (Atom.of_tuple rel tu)))
@@ -184,7 +181,7 @@ let extend_with_adds v adds =
     let next : fact_store = Hashtbl.create 8 in
     List.iter
       (fun (cl : Clause.t) ->
-        solve backend v.facts ~delta:!delta cl.Clause.body Subst.empty
+        solve v.inst v.facts ~delta:!delta cl.Clause.body Subst.empty
           (fun subst ->
             let h = head_instance cl subst in
             if not (store_mem v.facts h) then begin
@@ -208,9 +205,8 @@ let update v (ds : Delta.t list) =
   end
   else extend_with_adds v (List.map (fun d -> (Delta.rel d, Delta.tuple d)) ds)
 
-(** [watch v b] subscribes the view to backend [b]'s delta stream
-    ([b] must serve the view's instance). *)
-let watch v (b : Backend.t) = Backend.subscribe b (update v)
+(** [watch v] subscribes the view to its instance's delta stream. *)
+let watch v = Backend.subscribe v.inst (update v)
 
 (** [query ?max_rounds inst program target] — the derived tuples of
     relation [target]. *)

@@ -5,10 +5,8 @@
     at each step the body literal with the most bound arguments. It
     provides the exact coverage semantics ("∃θ: head θ = e and
     body θ ⊆ I") that the faster subsumption-against-bottom-clause
-    tests approximate. All tuple access goes through the
-    {!Castor_relational.Backend} seam — [iter_solutions_b] takes any
-    backend; the [Instance.t]-typed entry points wrap the instance
-    once. *)
+    tests approximate. Every lookup reads the live instance through
+    the {!Castor_relational.Backend} functions. *)
 
 open Castor_relational
 
@@ -38,10 +36,10 @@ let match_tuple subst (a : Atom.t) (tu : Tuple.t) =
   in
   go subst 0
 
-(** [iter_solutions_b backend body subst f] calls [f] on every
-    substitution that satisfies [body] in the data behind [backend],
-    extending [subst]. [f] may raise to stop the enumeration. *)
-let rec iter_solutions_b (backend : Backend.t) (body : Atom.t list) subst f =
+(** [iter_solutions inst body subst f] calls [f] on every substitution
+    that satisfies [body] in [inst], extending [subst]. [f] may raise
+    to stop the enumeration. *)
+let rec iter_solutions inst (body : Atom.t list) subst f =
   match body with
   | [] -> f subst
   | _ ->
@@ -57,21 +55,12 @@ let rec iter_solutions_b (backend : Backend.t) (body : Atom.t list) subst f =
       in
       let rest = List.filter (fun a -> a != best) body in
       let pairs, _ = bound_pairs subst best in
-      let candidates =
-        let module B = (val backend) in
-        B.find_matching best.Atom.rel pairs
-      in
       List.iter
         (fun tu ->
           match match_tuple subst best tu with
-          | Some s' -> iter_solutions_b backend rest s' f
+          | Some s' -> iter_solutions inst rest s' f
           | None -> ())
-        candidates
-
-(** [iter_solutions inst body subst f] — {!iter_solutions_b} over the
-    flat instance. *)
-let iter_solutions inst body subst f =
-  iter_solutions_b (Backend.of_instance inst) body subst f
+        (Backend.find_matching inst best.Atom.rel pairs)
 
 (** [covers inst clause example] decides whether [clause] covers the
     ground atom [example] relative to [inst]. *)

@@ -1,19 +1,12 @@
 (** The read-and-delta seam of the learning stack.
 
     The paper's implementation talks to a main-memory RDBMS through a
-    fixed query surface (Section 7.5.1). Here that surface is {!S}, and
-    the data behind it plays one of two roles:
+    fixed query surface (Section 7.5.1). Here that surface is a few
+    plain functions over the live {!Instance}: {!Eval}, {!Datalog},
+    {!Bottom}'s saturation and the IND chase all read the database in
+    place through them, so every read sees the data as it is now.
 
-    - the {e live source}: the flat {!Instance} the datasets ingest
-      into, wrapped zero-copy by {!of_instance}. Its delta stream drives
-      incremental coverage maintenance and Datalog views, and it is the
-      read surface of {!Eval}, {!Datalog} and the IND chase;
-    - the {e coverage snapshot}: the interned {!Columnar} engine,
-      loaded from the source by {!load}, on which {!Bottom}'s
-      saturation reads while {!Coverage} builds and patches its
-      bottoms.
-
-    {!S} holds exactly what those callers read: indexed lookups
+    The surface holds exactly what those callers read: indexed lookups
     ([find_matching], [tuples_containing], [has_relation]) and the
     {e delta API} — mutations are {!Delta.t} batches ([apply]),
     observable through [subscribe]; the generation counter is the
@@ -23,106 +16,44 @@
     seam: the batched coverage kernel and its planner read the
     {!Columnar} example store directly. *)
 
-module Obs = Castor_obs.Obs
+type t = Instance.t
 
-let c_wraps = Obs.Counter.create "backend.wraps"
+let has_relation (b : t) rel = Schema.mem_relation (Instance.schema b) rel
 
-(** The backend signature. Implementations are stateful first-class
-    modules: each value of {!t} wraps one database. *)
-module type S = sig
-  val has_relation : string -> bool
+(** [find_matching b rel bindings] — tuples agreeing with every
+    [(position, value)] binding; indexed on the first binding. *)
+let find_matching (b : t) rel bindings = Instance.find_matching b rel bindings
 
-  (** [find_matching rel bindings] — tuples agreeing with every
-      [(position, value)] binding; indexed on the first binding. *)
-  val find_matching : string -> (int * Value.t) list -> Tuple.t list
+(** [tuples_containing b rel v] — tuples mentioning [v] at any
+    position, each once. *)
+let tuples_containing (b : t) rel v = Instance.tuples_containing b rel v
 
-  (** [tuples_containing rel v] — tuples mentioning [v] at any
-      position, deduplicated. *)
-  val tuples_containing : string -> Value.t -> Tuple.t list
+(** [apply b ds] applies a batch of deltas in order. Ineffective
+    deltas (duplicate adds, absent removes) are dropped; the
+    generation advances by the number of effective ones and
+    subscribers are notified once with exactly that sub-batch. *)
+let apply (b : t) ds = Instance.apply b ds
 
-  (** [apply ds] applies a batch of deltas in order. Ineffective
-      deltas (duplicate adds, absent removes) are dropped; the
-      generation advances by the number of effective ones and
-      subscribers are notified once with exactly that sub-batch. *)
-  val apply : Delta.t list -> unit
+(** [subscribe b f] registers [f] to observe every effective delta
+    batch, in application order, after it hits the instance. *)
+let subscribe (b : t) f = Instance.subscribe b f
 
-  (** [subscribe f] registers [f] to observe every effective delta
-      batch, in application order, after it hits the store. *)
-  val subscribe : (Delta.t list -> unit) -> unit
+(** Mutation counter of the instance — the length of its delta log.
+    Equal generations imply the data has not changed; structures that
+    do not subscribe should key their caches on it. *)
+let generation (b : t) = Instance.generation b
 
-  (** Mutation counter of the underlying data — the length of its
-      delta log (number of effective deltas ever applied). Equal
-      generations imply the data has not changed; structures that do
-      not subscribe should key their caches on it. *)
-  val generation : unit -> int
-end
+(** [of_instance inst] is [inst]. It remains because the perfbench
+    harness wraps its source instance through it. *)
+let of_instance (inst : Instance.t) : t = inst
 
-type t = (module S)
-
-(** [of_instance inst] presents the flat {!Instance} behind the seam,
-    zero-copy: mutations of the wrapped instance are immediately
-    visible and bump the generation. *)
-let of_instance (inst : Instance.t) : t =
-  Obs.Counter.incr c_wraps;
-  (module struct
-    let has_relation rel = Schema.mem_relation (Instance.schema inst) rel
-
-    let find_matching rel bindings = Instance.find_matching inst rel bindings
-
-    let tuples_containing rel v = Instance.tuples_containing inst rel v
-
-    let apply ds = Instance.apply inst ds
-
-    let subscribe f = Instance.subscribe inst f
-
-    let generation () = Instance.generation inst
-  end)
-
-(** [of_columnar col] presents the interned {!Columnar} engine behind
-    the seam: posting-list lookups over per-relation dictionaries. *)
-let of_columnar (col : Columnar.t) : t =
-  Obs.Counter.incr c_wraps;
-  (module struct
-    let has_relation rel = Columnar.has_relation col rel
-
-    let find_matching rel bindings = Columnar.find_matching col rel bindings
-
-    let tuples_containing rel v = Columnar.tuples_containing col rel v
-
-    let apply ds = Columnar.apply col ds
-
-    let subscribe f = Columnar.subscribe col f
-
-    let generation () = Columnar.generation col
-  end)
-
-(** The substrate a coverage snapshot is loaded into. The columnar
-    engine is the only one. The one-constructor type remains because
-    the perfbench harness times [load default_spec inst] as its
-    [relational.backend.load_ms] probe; {!Coverage.build} loads its
-    snapshot through the same call, so the probe times what coverage
-    really does. *)
+(** A one-constructor substrate type, with [default_spec] and [load]:
+    they remain because the perfbench harness times
+    [load default_spec inst] as its [relational.backend.load_ms] probe.
+    No program path loads a snapshot any more. *)
 type spec = Columnar
 
 let default_spec = Columnar
 
-(** [load spec inst] loads a snapshot of {!Instance} [inst] into the
-    [spec] substrate, whose generation then moves independently of
-    [inst]'s — {!Coverage.build} loads its saturation substrate
-    through this call. *)
-let load Columnar inst : t = of_columnar (Columnar.of_instance inst)
-
-let generation (b : t) =
-  let module B = (val b) in
-  B.generation ()
-
-(** [apply b ds] — batch mutation through the delta API; subscribers
-    of [b] see the effective sub-batch once. *)
-let apply (b : t) ds =
-  let module B = (val b) in
-  B.apply ds
-
-(** [subscribe b f] — observe every effective delta batch of [b]. *)
-let subscribe (b : t) f =
-  let module B = (val b) in
-  B.subscribe f
+(** [load spec inst] loads a columnar copy of [inst] (see [spec]). *)
+let load Columnar inst = Columnar.of_instance inst

@@ -1,9 +1,9 @@
 (** Columnar interned relation storage.
 
     {!Instance} keeps boxed {!Value} tuples in hash sets; every scan
-    and probe re-hashes whole tuples. This substrate, the one coverage
-    engine (the saturation snapshot behind {!Backend} and the example
-    store the batched kernel reads), is the "do the algebra inside the
+    and probe re-hashes whole tuples. This substrate holds the
+    coverage engine's example stores, the operands the batched kernel
+    and its planner read, and is the "do the algebra inside the
     engine" layout the SQL-for-SRL position paper argues for:
 
     - every {!Value} is {e interned} to a dense int id through {e one}
@@ -43,11 +43,13 @@
     outnumber [max live 16], so under churn a relation occupies at
     most [2 × max live 16] slots. Compaction is not a delta: the
     generation does not move, and the pushdown memo (which holds value
-    ids, not slots) stays valid. Like {!Instance}, every effective
-    mutation is appended to a {!Delta.Log} — the generation is the log
-    length and subscribers see each effective delta batch.
+    ids, not slots) stays valid. Every effective mutation advances the
+    generation, on which the pushdown memo is keyed.
 
-    Everything is instrumented under [columnar.*]. *)
+    Rows are never decoded back to {!Value}s on the engine's paths;
+    only the full scan {!tuples} (for printing and tests) decodes,
+    counted under [columnar.rows_decoded]. Everything is instrumented
+    under [columnar.*]. *)
 
 module Obs = Castor_obs.Obs
 
@@ -94,7 +96,7 @@ type t = {
   intern : (Value.t, int) Hashtbl.t;  (** the store's one dictionary *)
   mutable vals : Value.t array;  (** id -> value (append-only) *)
   mutable n_vals : int;
-  log : Delta.Log.t;  (** effective mutations; generation = log length *)
+  mutable gen : int;  (** number of effective mutations *)
   memo :
     (string * (int * int) list * (int * int) list * int list, memo_entry)
     Hashtbl.t;
@@ -127,15 +129,11 @@ let create rels =
     intern = Hashtbl.create 256;
     vals = [||];
     n_vals = 0;
-    log = Delta.Log.create ();
+    gen = 0;
     memo = Hashtbl.create 64;
   }
 
-let generation t = Delta.Log.length t.log
-
-(** [subscribe t f] registers [f] to receive every batch of effective
-    deltas, in application order, after they hit the columns. *)
-let subscribe t f = Delta.Log.subscribe t.log f
+let generation t = t.gen
 
 let has_relation t rel = Hashtbl.mem t.rels rel
 
@@ -305,10 +303,6 @@ let mem t rel (tu : Tuple.t) =
   if Tuple.arity tu <> cr.arity then raise (Arity_mismatch rel);
   slot_of t cr tu <> None
 
-(* [insert]/[delete] mutate the columns and report effectiveness
-   without logging, so a batch [apply] can notify subscribers once;
-   [add]/[remove] are the public singleton forms. *)
-
 (* Reclaim tombstoned slots: move every live row down to the next free
    slot, in slot order, and remap the posting lists through the
    (monotone) old→new map. Posting lists only ever hold live slots. *)
@@ -338,7 +332,11 @@ let compact cr =
       done)
     cr.postings
 
-let insert t rel (tu : Tuple.t) =
+(** [add t rel tu] inserts a tuple: interns every value, appends one
+    slot to each column and each posting list. [false] on duplicates
+    (set semantics); an effective insert advances the generation.
+    @raise Arity_mismatch if the tuple does not fit the sort. *)
+let add t rel (tu : Tuple.t) =
   if mem t rel tu then false
   else begin
     let cr = crel t rel in
@@ -371,11 +369,16 @@ let insert t rel (tu : Tuple.t) =
       tu;
     Bytes.set cr.live slot '\001';
     cr.count <- cr.count + 1;
+    t.gen <- t.gen + 1;
     Obs.Counter.incr c_adds;
     true
   end
 
-let delete t rel (tu : Tuple.t) =
+(** [remove t rel tu] tombstones a tuple's slot and splices it out of
+    every posting list it occupied; dictionary entries are never
+    reclaimed (ids stay dense and stable). [true] when present, in
+    which case the generation advances. *)
+let remove t rel (tu : Tuple.t) =
   let cr = crel t rel in
   if Tuple.arity tu <> cr.arity then raise (Arity_mismatch rel);
   match slot_of t cr tu with
@@ -385,43 +388,9 @@ let delete t rel (tu : Tuple.t) =
       Bytes.set cr.live slot '\000';
       cr.count <- cr.count - 1;
       if cr.n_slots - cr.count > max cr.count 16 then compact cr;
+      t.gen <- t.gen + 1;
       Obs.Counter.incr c_removes;
       true
-
-(** [add t rel tu] inserts a tuple: interns every value, appends one
-    slot to each column and each posting list. [false] on duplicates
-    (set semantics); an effective insert is logged as an [Add] delta.
-    @raise Arity_mismatch if the tuple does not fit the sort. *)
-let add t rel (tu : Tuple.t) =
-  insert t rel tu
-  && begin
-       Delta.Log.extend t.log [ Delta.Add (rel, tu) ];
-       true
-     end
-
-(** [remove t rel tu] tombstones a tuple's slot and splices it out of
-    every posting list it occupied; dictionary entries are never
-    reclaimed (ids stay dense and stable). [true] when present, in
-    which case a [Remove] delta is logged. *)
-let remove t rel (tu : Tuple.t) =
-  delete t rel tu
-  && begin
-       Delta.Log.extend t.log [ Delta.Remove (rel, tu) ];
-       true
-     end
-
-(** [apply t ds] applies a batch of deltas in order; ineffective ones
-    are dropped and subscribers see exactly the effective sub-batch,
-    once. *)
-let apply t ds =
-  let effective =
-    List.filter
-      (function
-        | Delta.Add (rel, tu) -> insert t rel tu
-        | Delta.Remove (rel, tu) -> delete t rel tu)
-      ds
-  in
-  Delta.Log.extend t.log effective
 
 (** [tuples t rel] — full scan, newest slot first (the {!Instance}
     enumeration convention). *)
@@ -447,76 +416,6 @@ let size t = Hashtbl.fold (fun _ cr acc -> acc + cr.count) t.rels 0
 let distinct_count t rel pos =
   let cr = crel t rel in
   if pos < 0 || pos >= cr.arity then 0 else cr.distinct.(pos)
-
-(** [find t rel pos v] — one posting list, decoded (newest first). *)
-let find t rel pos v =
-  let cr = crel t rel in
-  if pos < 0 || pos >= cr.arity then []
-  else
-    match Hashtbl.find_opt t.intern v with
-    | None -> []
-    | Some vid -> (
-        match posting_slots cr pos vid with
-        | None -> []
-        | Some p ->
-            let out = ref [] in
-            for k = 0 to p.plen - 1 do
-              out := decode t cr p.ids.(k) :: !out
-            done;
-            !out)
-
-(** [find_matching t rel bindings] — posting-list intersection over
-    every [(position, value)] binding. *)
-let find_matching t rel bindings =
-  let cr = crel t rel in
-  let exception Empty in
-  try
-    let posts =
-      List.map
-        (fun (pos, v) ->
-          if pos < 0 || pos >= cr.arity then raise Empty
-          else
-            match Hashtbl.find_opt t.intern v with
-            | None -> raise Empty
-            | Some vid -> (
-                match posting_slots cr pos vid with
-                | None -> raise Empty
-                | Some p -> p))
-        bindings
-    in
-    match List.sort (fun a b -> compare a.plen b.plen) posts with
-    | [] -> tuples t rel
-    | first :: rest ->
-        let slots, n =
-          List.fold_left
-            (fun (acc, n) p -> inter acc n p.ids p.plen)
-            (first.ids, first.plen) rest
-        in
-        let out = ref [] in
-        for k = 0 to n - 1 do
-          out := decode t cr slots.(k) :: !out
-        done;
-        !out
-  with Empty -> []
-
-(** [tuples_containing t rel v] — union of [v]'s posting lists across
-    all positions; slot-level dedup is tuple-level dedup because
-    relations are sets. *)
-let tuples_containing t rel v =
-  let cr = crel t rel in
-  match Hashtbl.find_opt t.intern v with
-  | None -> []
-  | Some vid ->
-      let slots = ref [] in
-      for pos = 0 to cr.arity - 1 do
-        match posting_slots cr pos vid with
-        | None -> ()
-        | Some p ->
-            for k = 0 to p.plen - 1 do
-              slots := p.ids.(k) :: !slots
-            done
-      done;
-      List.sort_uniq compare !slots |> List.rev_map (decode t cr)
 
 (* ------------------------------------------------------------------ *)
 (* Engine pushdown: select-project with memoized results               *)

@@ -397,9 +397,7 @@ let test_source_lint () =
        "let probe s = Castor_relational.Store.find s \"r\" 0 v");
   check_clean "Backend seam access" rule
     (Analyze.source ~path:"lib/logic/good.ml"
-       "let eval (b : Backend.t) =\n\
-        \  let module B = (val b) in\n\
-        \  B.find_matching \"r\" []");
+       "let eval inst = Backend.find_matching inst \"r\" []");
   check_clean "mutation entry points stay legal" rule
     (Analyze.source ~path:"test/setup.ml"
        "let build () = Instance.add inst \"r\" [| v |]");

@@ -1,5 +1,5 @@
 (* The delta-API battery: the explicit mutation surface of Backend
-   (apply / subscribe / generation-from-log) on both adapters, the
+   (apply / subscribe / generation-from-log) over the instance, the
    incrementally maintained Datalog views, per-store planner
    statistics, and the online coverage path — a
    single-tuple add/remove on a non-target relation must patch the
@@ -25,64 +25,55 @@ let p_schema =
         [ Schema.attribute ~domain:"d" "x"; Schema.attribute ~domain:"d" "y" ];
     ]
 
-(* the two adapters behind the seam, each over a fresh empty p/2 *)
-let substrates =
+let substrate_suite =
   [
-    ("instance", fun () -> Backend.of_instance (Instance.create p_schema));
-    ("columnar", fun () -> Backend.of_columnar (Columnar.create [ ("p", 2) ]));
+    tc "instance: apply logs effective deltas and notifies once" (fun () ->
+        let inst = Instance.create p_schema in
+        let seen = ref [] in
+        Backend.subscribe inst (fun ds -> seen := !seen @ [ ds ]);
+        check Alcotest.int "fresh store at generation 0" 0 (Backend.generation inst);
+        Backend.apply inst [];
+        check Alcotest.int "empty batch is a no-op" 0 (Backend.generation inst);
+        check Alcotest.int "empty batch not delivered" 0 (List.length !seen);
+        (* duplicate add and absent remove are ineffective: dropped from
+           the log and from the notified sub-batch *)
+        Backend.apply inst
+          [
+            Delta.add "p" (itu 1 2);
+            Delta.add "p" (itu 1 2);
+            Delta.remove "p" (itu 3 4);
+            Delta.add "p" (itu 5 6);
+          ];
+        check Alcotest.int "generation = effective deltas" 2
+          (Backend.generation inst);
+        check Alcotest.int "one notification per batch" 1 (List.length !seen);
+        check Alcotest.int "only the effective sub-batch delivered" 2
+          (List.length (List.hd !seen));
+        (* singleton mutations are [apply] of one delta; effective iff
+           the generation moved *)
+        let single d =
+          let g = Backend.generation inst in
+          Backend.apply inst [ d ];
+          Backend.generation inst > g
+        in
+        let add tu = single (Delta.add "p" tu)
+        and remove tu = single (Delta.remove "p" tu) in
+        let mem tu =
+          Backend.find_matching inst "p"
+            (List.mapi (fun i v -> (i, v)) (Array.to_list tu))
+          <> []
+        in
+        check Alcotest.bool "add of a new tuple" true (add (itu 7 8));
+        check Alcotest.bool "re-add is ineffective" false (add (itu 7 8));
+        check Alcotest.bool "remove of a stored tuple" true (remove (itu 1 2));
+        check Alcotest.bool "re-remove is ineffective" false (remove (itu 1 2));
+        check Alcotest.int "only effective singletons logged" 4
+          (Backend.generation inst);
+        check Alcotest.int "one notification per effective singleton" 3
+          (List.length !seen);
+        check Alcotest.bool "store state reflects the log" true
+          (mem (itu 5 6) && mem (itu 7 8) && not (mem (itu 1 2))));
   ]
-
-let substrate_case (label, make) =
-  tc
-    (Fmt.str "%s: apply logs effective deltas and notifies once" label)
-    (fun () ->
-      let b = make () in
-      let seen = ref [] in
-      Backend.subscribe b (fun ds -> seen := !seen @ [ ds ]);
-      check Alcotest.int "fresh store at generation 0" 0 (Backend.generation b);
-      Backend.apply b [] ;
-      check Alcotest.int "empty batch is a no-op" 0 (Backend.generation b);
-      check Alcotest.int "empty batch not delivered" 0 (List.length !seen);
-      (* duplicate add and absent remove are ineffective: dropped from
-         the log and from the notified sub-batch *)
-      Backend.apply b
-        [
-          Delta.add "p" (itu 1 2);
-          Delta.add "p" (itu 1 2);
-          Delta.remove "p" (itu 3 4);
-          Delta.add "p" (itu 5 6);
-        ];
-      check Alcotest.int "generation = effective deltas" 2
-        (Backend.generation b);
-      check Alcotest.int "one notification per batch" 1 (List.length !seen);
-      check Alcotest.int "only the effective sub-batch delivered" 2
-        (List.length (List.hd !seen));
-      let module B = (val b : Backend.S) in
-      (* singleton mutations are [apply] of one delta; effective iff
-         the generation moved *)
-      let single d =
-        let g = Backend.generation b in
-        Backend.apply b [ d ];
-        Backend.generation b > g
-      in
-      let add tu = single (Delta.add "p" tu)
-      and remove tu = single (Delta.remove "p" tu) in
-      let mem tu =
-        B.find_matching "p" (List.mapi (fun i v -> (i, v)) (Array.to_list tu))
-        <> []
-      in
-      check Alcotest.bool "add of a new tuple" true (add (itu 7 8));
-      check Alcotest.bool "re-add is ineffective" false (add (itu 7 8));
-      check Alcotest.bool "remove of a stored tuple" true (remove (itu 1 2));
-      check Alcotest.bool "re-remove is ineffective" false (remove (itu 1 2));
-      check Alcotest.int "only effective singletons logged" 4
-        (Backend.generation b);
-      check Alcotest.int "one notification per effective singleton" 3
-        (List.length !seen);
-      check Alcotest.bool "store state reflects the log" true
-        (mem (itu 5 6) && mem (itu 7 8) && not (mem (itu 1 2))))
-
-let substrate_suite = List.map substrate_case substrates
 
 (* ---------------- incrementally maintained Datalog views ------------ *)
 
@@ -123,10 +114,9 @@ let view_suite =
         check Alcotest.(list string) "initial fixpoint"
           (expect_paths [ (0, 1); (1, 2); (0, 2) ])
           (path_set v);
-        let b = Backend.of_instance inst in
-        Datalog.watch v b;
+        Datalog.watch v;
         let rec0 = Obs.Counter.value Datalog.c_view_recomputes in
-        Backend.apply b [ Delta.add "edge" (etu 2 3) ];
+        Backend.apply inst [ Delta.add "edge" (etu 2 3) ];
         check Alcotest.(list string) "extended with the new edge's closure"
           (expect_paths [ (0, 1); (1, 2); (0, 2); (2, 3); (1, 3); (0, 3) ])
           (path_set v);
@@ -137,10 +127,9 @@ let view_suite =
         Instance.add inst "edge" (etu 0 1);
         Instance.add inst "edge" (etu 1 2);
         let v = Datalog.materialize inst path_program in
-        let b = Backend.of_instance inst in
-        Datalog.watch v b;
+        Datalog.watch v;
         let rec0 = Obs.Counter.value Datalog.c_view_recomputes in
-        Backend.apply b [ Delta.remove "edge" (etu 0 1); Delta.add "edge" (etu 2 3) ];
+        Backend.apply inst [ Delta.remove "edge" (etu 0 1); Delta.add "edge" (etu 2 3) ];
         check Alcotest.(list string) "retracted paths are gone"
           (expect_paths [ (1, 2); (2, 3); (1, 3) ])
           (path_set v);
@@ -212,11 +201,10 @@ let planner_suite =
         (* column 0 is the example id, as in a real example store *)
         let store rows =
           let col = Columnar.create [ ("p", 3) ] in
-          Columnar.apply col
-            (List.map
-               (fun (x, y) ->
-                 Delta.Add ("p", Tuple.of_list [ Value.int 0; c x; c y ]))
-               rows);
+          List.iter
+            (fun (x, y) ->
+              ignore (Columnar.add col "p" (Tuple.of_list [ Value.int 0; c x; c y ])))
+            rows;
           col
         in
         let spread = store [ (1, 2); (2, 3) ]
@@ -303,16 +291,15 @@ let differential seed ~interleave =
   List.iter (fun cl -> ignore (Coverage.vector cov cl)) cands;
   let stream = Examples.mutation_stream ~seed:(seed + 1) ~length:10 inst ex_t in
   let full0 = Obs.Counter.value Coverage.c_full_refreshes in
-  let b = Backend.of_instance inst in
   if interleave then
     (* one delta per generation, queries interleaved with mutations *)
     List.iteri
       (fun i d ->
-        Backend.apply b [ d ];
+        Backend.apply inst [ d ];
         if i mod 3 = 0 then
           ignore (Coverage.vector cov (List.nth cands (i mod List.length cands))))
       stream
-  else Backend.apply b stream;
+  else Backend.apply inst stream;
   let fresh = Coverage.build ~params inst examples in
   Obs.Counter.value Coverage.c_full_refreshes = full0
   && List.for_all
@@ -377,8 +364,7 @@ let prepared_after_stream seed =
   let before = Array.copy cov.Coverage.bottoms in
   let ex_t = Examples.make ~pos:(Array.to_list examples) ~neg:[] in
   let stream = Examples.mutation_stream ~seed:(seed + 1) ~length:10 inst ex_t in
-  let b = Backend.of_instance inst in
-  List.iter (fun d -> Backend.apply b [ d ]) stream;
+  List.iter (fun d -> Backend.apply inst [ d ]) stream;
   let fresh =
     subsumption_only (Coverage.build ~params (copy_instance inst) examples)
   in
@@ -494,7 +480,6 @@ let variant_after_streams (ds : Datasets.Dataset.t) vname =
   in
   query ();
   let full0 = Obs.Counter.value Coverage.c_full_refreshes in
-  let b = Backend.of_instance inst in
   let plan = Plan.build ~mode:`Equality_only v.Datasets.Dataset.vschema in
   List.concat_map
     (fun seed ->
@@ -504,7 +489,7 @@ let variant_after_streams (ds : Datasets.Dataset.t) vname =
       in
       List.iteri
         (fun i d ->
-          Backend.apply b [ d ];
+          Backend.apply inst [ d ];
           if i mod 4 = 3 then query ())
         stream;
       let copy = copy_instance inst in
@@ -584,10 +569,9 @@ let full_refresh_suite =
           (Array.to_list (Coverage.vector cov t_pq));
         check Alcotest.bool "c5 is no probe of t(c0) yet" false
           (Array.mem (c 5) cov.Coverage.probes.(0));
-        let b = Backend.of_instance inst in
-        let full0 = Obs.Counter.value Coverage.c_full_refreshes in
+              let full0 = Obs.Counter.value Coverage.c_full_refreshes in
         (* p(c0,c5) makes t(c0) look c5 up at depth 2 *)
-        Backend.apply b
+        Backend.apply inst
           [
             Delta.add "t" (Tuple.of_list [ c 9 ]);
             Delta.add "p" (Tuple.of_list [ c 0; c 5 ]);
@@ -600,7 +584,7 @@ let full_refresh_suite =
           (Array.mem (c 5) cov.Coverage.probes.(0));
         (* q(c5,c6) holds no value of the old probe sets *)
         let applied0 = Obs.Counter.value Coverage.c_delta_applied in
-        Backend.apply b [ Delta.add "q" (Tuple.of_list [ c 5; c 6 ]) ];
+        Backend.apply inst [ Delta.add "q" (Tuple.of_list [ c 5; c 6 ]) ];
         let got = Array.to_list (Coverage.vector cov t_pq) in
         check Alcotest.int "absorbed incrementally" (applied0 + 1)
           (Obs.Counter.value Coverage.c_delta_applied);
