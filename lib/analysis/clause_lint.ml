@@ -121,25 +121,12 @@ let redundant_literals ?span (c : Clause.t) =
     (redundant_literal_indices c)
 
 (** [prune_redundant c] drops the statically redundant literals to a
-    fixpoint, returning the pruned clause and how many literals were
-    removed. The result is θ-equivalent to [c] (same coverage). *)
+    fixpoint ({!Minimize.reduce_absorbed}), returning the pruned clause
+    and how many literals were removed. The result is θ-equivalent to
+    [c] (same coverage). *)
 let prune_redundant (c : Clause.t) =
-  let total = ref 0 in
-  let current = ref c in
-  let continue_ = ref true in
-  while !continue_ do
-    match redundant_literal_indices !current with
-    | [] -> continue_ := false
-    | idxs ->
-        total := !total + List.length idxs;
-        current :=
-          {
-            !current with
-            Clause.body =
-              List.filteri (fun i _ -> not (List.mem i idxs)) !current.Clause.body;
-          }
-  done;
-  (!current, !total)
+  let pruned = Minimize.reduce_absorbed c in
+  (pruned, List.length c.Clause.body - List.length pruned.Clause.body)
 
 (* ---------------- determinacy depth -------------------------------- *)
 
