@@ -219,11 +219,7 @@ let learn_clause (prm : params) (p : Problem.t) uncovered =
       end;
       match !best with
       | None -> (body, pos_vec, neg_vec)
-      | Some (gain, after, lits, pv, nv) ->
-          if Sys.getenv_opt "FOIL_DEBUG" <> None then
-            Fmt.epr "[foil] step %d: + %a (gain %.2f, p=%d n=%d)@." step
-              Fmt.(list ~sep:comma Atom.pp)
-              lits gain after.Scoring.pos_covered after.Scoring.neg_covered;
+      | Some (_, _, lits, pv, nv) ->
           grow (body @ lits) pv nv (step + List.length lits)
     end
   in

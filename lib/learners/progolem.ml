@@ -82,10 +82,6 @@ let rec learn_clause_generic ?(seed_tries = 8) ~(bottom : Atom.t -> Clause.t)
       let neg_vec = Array.make (Coverage.length p.Problem.neg_cov) false in
       { clause = bottom e; pos_vec; neg_vec; score = 1 }
     in
-    let debug = Sys.getenv_opt "CASTOR_TRACE" <> None in
-    if debug then
-      Fmt.epr "[castor] seed %d, bottom %d lits@." seed_idx
-        (Clause.length root.clause);
     let beam = ref [ root ] in
     let best = ref root in
     let continue = ref true in
@@ -95,8 +91,6 @@ let rec learn_clause_generic ?(seed_tries = 8) ~(bottom : Atom.t -> Clause.t)
         List.init prm.sample (fun _ -> idxs.(Random.State.int p.Problem.rng n))
         |> List.sort_uniq compare
       in
-      if debug then
-        Fmt.epr "[castor] sample: %a@." Fmt.(list ~sep:sp int) sample;
       let next = ref [] in
       List.iter
         (fun c ->
@@ -107,12 +101,6 @@ let rec learn_clause_generic ?(seed_tries = 8) ~(bottom : Atom.t -> Clause.t)
               | Some g ->
                   if g.Clause.body <> [] then begin
                     let cand = eval p ~parent:c g in
-                    if debug then
-                      Fmt.epr "[castor]   armg(parent %d lits, e%d) -> %d lits score %d (p=%d n=%d)@."
-                        (Clause.length c.clause) i (Clause.length cand.clause)
-                        cand.score
-                        (Coverage.count cand.pos_vec)
-                        (Coverage.count cand.neg_vec);
                     if
                       cand.score > !best.score
                       && ((not prm.require_safe) || Clause.is_safe cand.clause)
