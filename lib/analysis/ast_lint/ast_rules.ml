@@ -697,7 +697,7 @@ let run_backend (ctx : Ast_engine.ctx) =
                           ~rule:rule_backend ~severity:Diagnostic.Error
                           ~name:(String.concat "." p)
                           "direct %s lookup bypasses the Backend seam (use \
-                           Backend.find/find_matching/tuples_containing)"
+                           Backend.find_matching/tuples_containing)"
                           qualified)
                       (banned_hit p)
                 | Mut_field _ -> None)

@@ -2,12 +2,11 @@
 
     The paper treats the database as a fixed instance; the live-system
     roadmap treats it as a stream of tuple insertions and deletions.
-    A {!t} is one element of that stream. Substrates no longer bump an
-    ad-hoc generation counter next to their mutators: every effective
-    mutation is recorded as a delta in a {!Log}, the generation {e is}
-    the log length, and downstream structures (saturation
-    neighborhoods, coverage memos, materialized views) subscribe to
-    the log and patch themselves instead of rebuilding. *)
+    A {!t} is one element of that stream. The {!Instance} records
+    every effective mutation as a delta in a {!Log}, the generation
+    {e is} the log length, and downstream structures (coverage
+    saturations and memos, materialized views) subscribe to the log
+    and patch themselves instead of rebuilding. *)
 
 type t =
   | Add of string * Tuple.t  (** tuple inserted into the named relation *)
@@ -39,9 +38,9 @@ let equal a b =
       String.equal r r' && Tuple.equal tu tu'
   | _ -> false
 
-(** The per-substrate delta log: the single source of truth for both
-    the generation counter and subscriber notification. Substrates
-    append only {e effective} deltas (a duplicate [Add] or absent
+(** The instance's delta log: the single source of truth for both
+    the generation counter and subscriber notification. The instance
+    appends only {e effective} deltas (a duplicate [Add] or absent
     [Remove] never reaches the log), so [length] retains the old
     generation contract — equal lengths imply unchanged data — while
     subscribers see exactly the mutations that happened. *)
@@ -55,7 +54,7 @@ module Log = struct
 
   let create () = { len = 0; subscribers = [] }
 
-  (** Generation of the owning substrate: number of effective deltas
+  (** Generation of the owning instance: number of effective deltas
       ever applied. *)
   let length l = l.len
 
