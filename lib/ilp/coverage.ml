@@ -9,12 +9,11 @@
     Saturation reads the source instance in place, through the
     {!Castor_relational.Backend} functions, and the example-saturation
     database the batch kernel runs on is an interned
-    {!Castor_relational.Columnar} store keyed by example id. A {!vector}
-    query picks its strategy per candidate
-    clause — cached vector, batched semi-join or per-example
-    subsumption — through the cost-based {!Planner}. A {!covers} query
-    asks about one example and is always one subsumption test (see
-    below).
+    {!Castor_relational.Columnar} store keyed by example id. A
+    {!vector} query picks its strategy per candidate clause — cached
+    vector, batched semi-join or per-example subsumption — through the
+    cost-based {!Planner}. A {!covers} query asks about one example and
+    is always one subsumption test (see below).
 
     Two optimizations from the paper are implemented here for
     {!vector}: a memoization table keyed by {!Clause.variant_key} — a
@@ -70,19 +69,18 @@
     ({!Backend.subscribe}). When the source mutates, the next coverage
     query drains the pending deltas and {e patches} itself instead of
     rebuilding: only the examples whose {e probe set} holds a value of
-    a delta tuple are re-saturated, against the instance as it now
-    is. The probe set of an
-    example is what its saturation read the data on — every constant
-    it looked up and every value the IND chase bound a probe on
-    ({!Bottom.saturation_with_probes}) — so a delta holding none of
-    them cannot change its bottom clause. A re-saturation that returns
-    the same clause changes nothing and is counted under
-    [ilp.saturation.unchanged]; a changed one has its facts
-    add/removed in place inside the eid-keyed example store, and
+    a delta tuple are re-saturated, against the instance as it now is.
+    The probe set of an example is what its saturation read the data
+    on — every constant it looked up and every value the IND chase
+    bound a probe on ({!Bottom.saturation_with_probes}) — so a delta
+    holding none of them cannot change its bottom clause. A
+    re-saturation that returns the same clause changes nothing and is
+    counted under [ilp.saturation.unchanged]; a changed one has its
+    facts add/removed in place inside the eid-keyed example store, and
     memoized vectors are lazily re-tested at exactly those example
     positions. A full rebuild survives only as a fallback — when a
-    delta touches the target relation (retracting or creating
-    label support) or when the delta log cannot account for the whole
+    delta touches the target relation (retracting or creating label
+    support) or when the delta log cannot account for the whole
     generation gap — counted separately under
     [ilp.coverage.full_refreshes]. *)
 
