@@ -110,22 +110,22 @@ let reduce ?(max_steps = 8_000) ?(exact_below = 40) (c : Clause.t) =
       removed := false;
       let body = Array.of_list !current.Clause.body in
       let n = Array.length body in
-      (* every test of this scan has [!current] on the clause side *)
+      (* every test of this scan has [!current] on the clause side,
+         and [!current] less one literal on the target side *)
       let pattern = Subsume.compile !current in
+      let without_lit = Subsume.leave_out (Subsume.prepare !current) !current in
       (try
          for i = n - 1 downto 0 do
-           let without =
-             {
-               !current with
-               Clause.body =
-                 Array.to_list body |> List.filteri (fun j _ -> j <> i);
-             }
-           in
            if
-             Subsume.subsumes_compiled ~max_steps pattern (Subsume.prepare without)
+             Subsume.subsumes_compiled ~max_steps pattern (without_lit i)
              = Some true
            then begin
-             current := without;
+             current :=
+               {
+                 !current with
+                 Clause.body =
+                   Array.to_list body |> List.filteri (fun j _ -> j <> i);
+               };
              removed := true;
              raise Exit (* restart scan on the shrunk clause *)
            end

@@ -163,6 +163,54 @@ let prepare (d : Clause.t) =
     groups;
   }
 
+(** [leave_out p d] is, for [p = prepare d], the function that maps a
+    body index [i] to [p] with the row of [d]'s [i]-th body literal
+    left out. The result answers every test like [prepare] of [d]
+    without that literal, with the same candidates in the same order;
+    only its ids may differ, since [terms] keeps every term of [d]. A
+    group left empty is dropped, so a literal of that relation is
+    still refuted before arc consistency. The rows' positions are
+    computed once, here; each call copies one group. Clause reduction
+    ({!Minimize}) tests a clause against each of its one-literal-
+    shorter versions this way. *)
+let leave_out (p : prepared) (d : Clause.t) =
+  let group_of (a : Atom.t) =
+    let arity = Array.length a.Atom.args in
+    let rec find lo hi =
+      let mid = (lo + hi) / 2 in
+      let c = compare_group a.Atom.rel arity p.groups.(mid) in
+      if c = 0 then mid else if c < 0 then find lo mid else find (mid + 1) hi
+    in
+    find 0 (Array.length p.groups)
+  in
+  (* a group's rows run from the last body literal to the first *)
+  let body = Array.of_list d.Clause.body in
+  let seen = Array.make (Array.length p.groups) 0 in
+  let at = Array.make (Array.length body) (0, 0) in
+  for i = Array.length body - 1 downto 0 do
+    let g = group_of body.(i) in
+    at.(i) <- (g, seen.(g));
+    seen.(g) <- seen.(g) + 1
+  done;
+  fun i ->
+    let g, r = at.(i) in
+    let grp = p.groups.(g) in
+    let groups =
+      if grp.count = 1 then
+        Array.append (Array.sub p.groups 0 g)
+          (Array.sub p.groups (g + 1) (Array.length p.groups - g - 1))
+      else begin
+        let a = grp.arity in
+        let rows = Array.make ((grp.count - 1) * a) 0 in
+        Array.blit grp.rows 0 rows 0 (r * a);
+        Array.blit grp.rows ((r + 1) * a) rows (r * a) ((grp.count - 1 - r) * a);
+        let groups = Array.copy p.groups in
+        groups.(g) <- { grp with count = grp.count - 1; rows };
+        groups
+      end
+    in
+    { p with groups }
+
 (* ---------------------------------------------------------------- *)
 (* Compiled patterns                                                  *)
 (* ---------------------------------------------------------------- *)

@@ -33,15 +33,16 @@ module Counter = struct
       b
     end
 
+  (* move [c]'s cell of the scratch [a] into its total *)
+  let flush_cell a c =
+    if c.id < Array.length a && a.(c.id) <> 0 then begin
+      ignore (Atomic.fetch_and_add c.total a.(c.id));
+      a.(c.id) <- 0
+    end
+
   let flush () =
     let a = Domain.DLS.get scratch_key in
-    List.iter
-      (fun c ->
-        if c.id < Array.length a && a.(c.id) <> 0 then begin
-          ignore (Atomic.fetch_and_add c.total a.(c.id));
-          a.(c.id) <- 0
-        end)
-      !registered
+    List.iter (flush_cell a) !registered
 
   let create ?(help = "") name =
     Mutex.lock registry_mutex;
@@ -65,7 +66,7 @@ module Counter = struct
   let incr c = add c 1
 
   let value c =
-    flush ();
+    flush_cell (Domain.DLS.get scratch_key) c;
     Atomic.get c.total
 
   let reset c =

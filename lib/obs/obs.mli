@@ -34,9 +34,9 @@ module Counter : sig
 
   val add : t -> int -> unit
 
-  (** [value c] flushes the calling domain's scratch and returns the
-      total. Exact once concurrent tasks have completed (their pool
-      flushes at task boundaries). *)
+  (** [value c] flushes the calling domain's scratch cell of [c] alone
+      (no other counter's) and returns the total. Exact once concurrent
+      tasks have completed (their pool flushes at task boundaries). *)
   val value : t -> int
 
   val reset : t -> unit

@@ -16,7 +16,16 @@
     example id plus at most one shared variable (the common case) packs
     into one int, [eid * dictionary_size + var], which is injective
     because ids are dense dictionary indexes; wider keys hash the id
-    row. *)
+    row.
+
+    The memoized scan of a pattern owns the operands built from it
+    ({!Columnar.operand}): a wide bag reads each member as the scan's
+    rows sorted in the bag's elimination order, and a semi-join reads
+    the set of a child's packed keys, whenever the child still holds
+    its scan's rows (a leaf bag, unfiltered). Both are built once per
+    memoized scan, counted under [algebra.semijoin.operands_built] and
+    [.operands_reused]; a parent that a semi-join has filtered, and a
+    leapfrog bag, build their own. *)
 
 (** [project inst rel attrs] computes [π_attrs(inst.rel)] as a
     duplicate-free tuple list in the order of [attrs]. *)
@@ -158,6 +167,20 @@ let c_bag_rows = Obs.Counter.create "algebra.semijoin.bag_rows"
 
 let c_leapfrog_seeks = Obs.Counter.create "algebra.semijoin.leapfrog_seeks"
 
+let c_operands_built =
+  Obs.Counter.create
+    ~help:
+      "kernel operands (sorted leapfrog operands, semi-join key sets) built \
+       from a memoized pattern scan and stored with it"
+    "algebra.semijoin.operands_built"
+
+let c_operands_reused =
+  Obs.Counter.create
+    ~help:
+      "kernel operands served from a memoized pattern scan's entry instead \
+       of being rebuilt"
+    "algebra.semijoin.operands_reused"
+
 let span_batch = Obs.Span.create "algebra.semijoin.batch"
 
 (** One literal of a conjunctive pattern, matched against a stored
@@ -178,13 +201,30 @@ let pattern_vars p =
     [] p.pargs
   |> List.rev
 
-(* sets of packed int keys and of example ids *)
-module Int_tbl = Hashtbl.Make (Int)
-
 (* An intermediate semi-join operand of id rows: row.(0) is the
    dictionary id of the example id and row.(k + 1) the id bound to the
-   k-th variable of [svars]. *)
-type sj_table = { svars : string list; mutable srows : int array list }
+   k-th variable of [svars]. [src] is the memoized scan whose rows
+   [srows] still are, exactly: a pattern scan until a semi-join
+   filters it, [None] from then on and for a leapfrog bag. *)
+type sj_table = {
+  svars : string list;
+  mutable srows : int array list;
+  mutable src : Columnar.scan option;
+}
+
+(* Operand [op] of [tbl]: kept in its scan's memo entry while [tbl]
+   holds that scan's rows, built afresh otherwise. A memo entry serves
+   one store generation, so a kept operand never outlives the rows it
+   was built from. Nor can a kept key set's packing go stale: the
+   dictionary, and with it [width], only grows inside an effective
+   [Columnar.add], which moves the generation. *)
+let operand tbl op build =
+  match tbl.src with
+  | None -> build tbl.srows
+  | Some s ->
+      let a, reused = Columnar.operand s op build in
+      Obs.Counter.incr (if reused then c_operands_reused else c_operands_built);
+      a
 
 (* Scan one pattern against the example store. The pattern scan is
    one select-project query inside the columnar engine: σ on the
@@ -196,12 +236,12 @@ type sj_table = { svars : string list; mutable srows : int array list }
    store's dictionary lacks matches nothing. *)
 let scan_pattern (store : Columnar.t) (p : pattern) =
   let vars = pattern_vars p in
-  let rows =
+  let src =
     if
       not
         (Columnar.has_relation store p.prel
         && Columnar.arity store p.prel = Array.length p.pargs + 1)
-    then []
+    then None
     else begin
       let exception Absent in
       try
@@ -224,14 +264,15 @@ let scan_pattern (store : Columnar.t) (p : pattern) =
           Columnar.select_project store p.prel ~consts:(List.rev !consts)
             ~eqs:(List.rev !eqs) ~project
         with
-        | Some (rows, examined) ->
+        | Some (scan, examined) ->
             Obs.Counter.add c_rows_scanned examined;
-            rows
-        | None -> []
-      with Absent -> []
+            Some scan
+        | None -> None
+      with Absent -> None
     end
   in
-  { svars = vars; srows = rows }
+  let srows = match src with Some s -> Columnar.rows s | None -> [] in
+  { svars = vars; srows; src }
 
 let var_col tbl v =
   let rec go i = function
@@ -241,57 +282,112 @@ let var_col tbl v =
   in
   go 0 tbl.svars
 
-(* parent ⋉ child on the example id plus their shared variables. Ids
-   are dense dictionary indexes below [width], so the key of the
-   example id plus at most one shared variable packs injectively into
-   the int [eid * width + var] — the common case; wider keys hash the
-   projected id row. *)
+(* A set of non-negative ints in one flat array: open addressing with
+   linear probing over a power-of-two table at most half full, -1
+   marking a free slot. *)
+let home set x =
+  let h = x * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 32)) land (Array.length set - 1)
+
+let probe set x =
+  let mask = Array.length set - 1 in
+  let i = ref (home set x) in
+  while set.(!i) >= 0 && set.(!i) <> x do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let mem_set set x = set.(probe set x) = x
+
+(* [x] into [set]; [true] when it was not there yet *)
+let insert set x =
+  let i = probe set x in
+  set.(i) < 0
+  && begin
+       set.(i) <- x;
+       true
+     end
+
+(* The set of the ints [iter] yields, doubled whenever it gets half
+   full, so its size follows the distinct ints, not the calls. *)
+let int_set (iter : (int -> unit) -> unit) =
+  let set = ref (Array.make 16 (-1)) and n = ref 0 in
+  iter (fun x ->
+      if insert !set x then begin
+        incr n;
+        if 2 * !n > Array.length !set then begin
+          let grown = Array.make (2 * Array.length !set) (-1) in
+          Array.iter (fun y -> if y >= 0 then ignore (insert grown y)) !set;
+          set := grown
+        end
+      end);
+  !set
+
+(* The set of the example ids of [tbl]'s rows ([c = 0]), or of their
+   example id and id on column [c] packed into [eid * width + id]. Ids
+   are dense dictionary indexes below [width], so the packing is
+   injective. *)
+let key_set ~width tbl c =
+  operand tbl (Columnar.Keys c) (fun rows ->
+      int_set (fun add ->
+          List.iter
+            (fun (r : int array) ->
+              add (if c = 0 then r.(0) else (r.(0) * width) + r.(c)))
+            rows))
+
+(* parent ⋉ child on the example id plus their shared variables. The
+   key of the example id plus at most one shared variable packs into
+   one int (the common case), and the child's key set comes from its
+   scan's memo entry while the child is an unfiltered pattern scan;
+   wider keys hash the projected id row. The parent is filtered either
+   way, so it no longer holds its scan's rows. *)
 let semijoin ~width parent child =
   Obs.Counter.incr c_semijoins;
   let shared = List.filter (fun v -> List.mem v parent.svars) child.svars in
-  let n = List.length child.srows in
-  let on_int ckey pkey =
-    let keys = Int_tbl.create n in
-    List.iter (fun r -> Int_tbl.replace keys (ckey r) ()) child.srows;
-    parent.srows <- List.filter (fun r -> Int_tbl.mem keys (pkey r)) parent.srows
-  in
-  match shared with
-  | [] -> on_int (fun r -> r.(0)) (fun r -> r.(0))
+  (match shared with
+  | [] ->
+      let keys = key_set ~width child 0 in
+      parent.srows <- List.filter (fun r -> mem_set keys r.(0)) parent.srows
   | [ v ] ->
-      let c = var_col child v and p = var_col parent v in
-      on_int
-        (fun r -> (r.(0) * width) + r.(c))
-        (fun r -> (r.(0) * width) + r.(p))
+      let keys = key_set ~width child (var_col child v) and p = var_col parent v in
+      parent.srows <-
+        List.filter (fun r -> mem_set keys ((r.(0) * width) + r.(p))) parent.srows
   | _ ->
       let cols tbl = Array.of_list (0 :: List.map (var_col tbl) shared) in
       let project pos (r : int array) = Array.map (fun i -> r.(i)) pos in
       let cpos = cols child and ppos = cols parent in
-      let keys = Hashtbl.create n in
+      let keys = Hashtbl.create (List.length child.srows) in
       List.iter (fun r -> Hashtbl.replace keys (project cpos r) ()) child.srows;
       parent.srows <-
-        List.filter (fun r -> Hashtbl.mem keys (project ppos r)) parent.srows
+        List.filter (fun r -> Hashtbl.mem keys (project ppos r)) parent.srows);
+  parent.src <- None
 
 (* ------------------------------------------------------------------ *)
 (* Worst-case-optimal bag materialization                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [lower_bound]/[upper_bound]: first index in [lo, hi) of [mat] whose
-   id at column [col] is >= v (resp. > v). The rows of [mat] are
-   sorted lexicographically and every column before [col] is constant
-   within [lo, hi), so column [col] is sorted there. *)
-let lower_bound (mat : int array array) col lo hi (v : int) =
+(* A leapfrog operand: its rows [w] ids wide, sorted lexicographically
+   and laid out one after the other in [mat]; [col_at.(d)] is the
+   column holding the variable eliminated at depth [d], or -1. *)
+type sorted_op = { mat : int array; w : int; col_at : int array }
+
+(* [lower_bound]/[upper_bound]: first row index in [lo, hi) of [o]
+   whose id at column [col] is >= v (resp. > v). Every column before
+   [col] is constant within [lo, hi), so column [col] is sorted
+   there. *)
+let lower_bound o col lo hi (v : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if mat.(mid).(col) < v then lo := mid + 1 else hi := mid
+    if o.mat.((mid * o.w) + col) < v then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let upper_bound (mat : int array array) col lo hi (v : int) =
+let upper_bound o col lo hi (v : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if mat.(mid).(col) <= v then lo := mid + 1 else hi := mid
+    if o.mat.((mid * o.w) + col) <= v then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -306,6 +402,19 @@ let compare_rows (a : int array) (b : int array) =
   in
   go 0
 
+(* [rows] with row column [perm.(k)] moved to column [k], sorted
+   lexicographically and laid out flat *)
+let sorted_rows perm rows =
+  let w = Array.length perm in
+  let mat =
+    Array.of_list
+      (List.map (fun (r : int array) -> Array.map (fun i -> r.(i)) perm) rows)
+  in
+  Array.sort compare_rows mat;
+  let flat = Array.make (Array.length mat * w) 0 in
+  Array.iteri (fun k r -> Array.blit r 0 flat (k * w) w) mat;
+  flat
+
 (* Materialize one multi-edge bag of a decomposition: the natural join
    of its member tables, computed by a leapfrog-style worst-case-
    optimal generic join. Variables are eliminated in a fixed global
@@ -314,8 +423,12 @@ let compare_rows (a : int array) (b : int array) =
    by sorted-array intersection over every member containing it: the
    member with the fewest remaining rows leads, the others are probed
    by binary search and narrow their live row range as the partial
-   assignment grows. Rows sort by id, not by value: the set of rows
-   emitted, and the seeks made, do not depend on the order. Each
+   assignment grows. Each member is read as its rows projected to
+   (eid, own vars in elimination order) and sorted, so that the
+   lexicographic order agrees with the elimination order; a member
+   that is a pattern scan keeps that operand in its memo entry, one
+   per column permutation. Rows sort by id, not by value: the set of
+   rows emitted, and the seeks made, do not depend on the order. Each
    emitted row is a full distinct assignment of (eid, bag variables),
    so the result is itself a valid semi-join operand. *)
 let leapfrog_bag (tables : sj_table list) =
@@ -335,9 +448,6 @@ let leapfrog_bag (tables : sj_table list) =
     Array.of_list
       (List.map
          (fun t ->
-           (* project each row to (eid, own vars in elimination order)
-              and sort: the lexicographic order then agrees with the
-              global variable elimination order *)
            let tv =
              List.sort
                (fun a b ->
@@ -347,13 +457,9 @@ let leapfrog_bag (tables : sj_table list) =
            let col_at = Array.make n_depths (-1) in
            col_at.(0) <- 0;
            List.iteri (fun k v -> col_at.(Hashtbl.find depth_of v) <- k + 1) tv;
-           let proj = Array.of_list (0 :: List.map (var_col t) tv) in
-           let mat =
-             Array.of_list
-               (List.map (fun (r : int array) -> Array.map (fun i -> r.(i)) proj) t.srows)
-           in
-           Array.sort compare_rows mat;
-           (mat, col_at))
+           let perm = Array.of_list (0 :: List.map (var_col t) tv) in
+           let mat = operand t (Columnar.Sorted perm) (sorted_rows perm) in
+           { mat; w = Array.length perm; col_at })
          tables)
   in
   let m = Array.length ops in
@@ -367,7 +473,7 @@ let leapfrog_bag (tables : sj_table list) =
     else begin
       let active = ref [] in
       for k = m - 1 downto 0 do
-        if (snd ops.(k)).(d) >= 0 then active := k :: !active
+        if ops.(k).col_at.(d) >= 0 then active := k :: !active
       done;
       let active = !active in
       let lead =
@@ -385,13 +491,13 @@ let leapfrog_bag (tables : sj_table list) =
              depth 0 and every bag variable occurs in some member *)
           assert false
       | Some (lead, _) ->
-          let mat, col_at = ops.(lead) in
-          let c = col_at.(d) in
+          let o = ops.(lead) in
+          let c = o.col_at.(d) in
           let lo, hi = ranges.(lead) in
           let i = ref lo in
           while !i < hi do
-            let v = mat.(!i).(c) in
-            let stop = upper_bound mat c !i hi v in
+            let v = o.mat.((!i * o.w) + c) in
+            let stop = upper_bound o c !i hi v in
             Obs.Counter.incr c_leapfrog_seeks;
             let ranges' = Array.copy ranges in
             ranges'.(lead) <- (!i, stop);
@@ -399,11 +505,11 @@ let leapfrog_bag (tables : sj_table list) =
             List.iter
               (fun k ->
                 if !ok && k <> lead then begin
-                  let mk, ck = ops.(k) in
+                  let o' = ops.(k) in
                   let klo, khi = ranges.(k) in
-                  let c' = ck.(d) in
-                  let a = lower_bound mk c' klo khi v in
-                  let b = upper_bound mk c' a khi v in
+                  let c' = o'.col_at.(d) in
+                  let a = lower_bound o' c' klo khi v in
+                  let b = upper_bound o' c' a khi v in
                   Obs.Counter.incr c_leapfrog_seeks;
                   if a >= b then ok := false else ranges'.(k) <- (a, b)
                 end)
@@ -416,8 +522,8 @@ let leapfrog_bag (tables : sj_table list) =
           done
     end
   in
-  enum 0 (Array.init m (fun k -> (0, Array.length (fst ops.(k)))));
-  { svars = bag_vars; srows = List.rev !out }
+  enum 0 (Array.init m (fun k -> (0, Array.length ops.(k).mat / ops.(k).w)));
+  { svars = bag_vars; srows = List.rev !out; src = None }
 
 (** [semijoin_batch ?decomposition store ~patterns ~eids] answers,
     for each of the [k] example ids in [eids], whether the conjunctive
@@ -474,12 +580,7 @@ let semijoin_batch ?decomposition (store : Columnar.t)
         (fun (b, parent) ->
           match parent with
           | Some f -> semijoin ~width bag_tables.(f) bag_tables.(b)
-          | None ->
-              let set = Int_tbl.create 64 in
-              List.iter
-                (fun (r : int array) -> Int_tbl.replace set r.(0) ())
-                bag_tables.(b).srows;
-              root_sets := set :: !root_sets)
+          | None -> root_sets := key_set ~width bag_tables.(b) 0 :: !root_sets)
         decomp.Hypergraph.forest;
       let sets = !root_sets in
       (* an example id the dictionary lacks has no stored fact, so only
@@ -487,6 +588,6 @@ let semijoin_batch ?decomposition (store : Columnar.t)
       Array.map
         (fun eid ->
           match Columnar.intern_id store (Value.int eid) with
-          | Some id -> List.for_all (fun set -> Int_tbl.mem set id) sets
+          | Some id -> List.for_all (fun set -> mem_set set id) sets
           | None -> sets = [])
         eids

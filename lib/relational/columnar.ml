@@ -29,7 +29,14 @@
       a list of {e id rows} (never decoded to {!Value}s), and results
       are memoized per generation — so a repeated pattern scan (the
       common case while learning: every candidate clause containing an
-      atom re-scans that relation) costs zero row visits.
+      atom re-scans that relation) costs zero row visits;
+    - a memo entry also owns the kernel's operands built from its rows
+      ({!operand}): the rows projected into a bag's elimination order
+      and sorted, one per column permutation, and the set of packed
+      semi-join keys, one per key column. Each is built the first time
+      a kernel call asks for it, stored as one flat int array, and
+      lives and dies with its entry, so it serves exactly one
+      generation.
 
     Slots are append-only between compactions: [remove] tombstones a
     row (its postings are spliced, its [live] bit cleared) and never
@@ -87,9 +94,22 @@ type crel = {
   distinct : int array;  (** per position: # non-empty postings *)
 }
 
-(* one memoized select-project result; the entry is valid while the
-   backend generation it was computed at still holds *)
-type memo_entry = { mgen : int; mrows : int array list }
+(** One memoized select-project result, valid for the one generation
+    it was computed at, and the owner of the kernel operands built from
+    its rows. *)
+type scan = {
+  mgen : int;
+  mrows : int array list;
+  mutable operands : (operand * int array) list;
+      (** built on first request, see {!operand} *)
+}
+
+(** A kernel operand of a scan, stored as one flat int array:
+    [Sorted perm] holds the rows permuted by [perm] ([perm.(k)] is the
+    row column that goes to column [k]) and sorted lexicographically,
+    one row after the other; [Keys c] holds the set of the rows'
+    packed semi-join keys on column [c] (see {!Algebra}). *)
+and operand = Sorted of int array | Keys of int
 
 type t = {
   rels : (string, crel) Hashtbl.t;
@@ -98,8 +118,7 @@ type t = {
   mutable n_vals : int;
   mutable gen : int;  (** number of effective mutations *)
   memo :
-    (string * (int * int) list * (int * int) list * int list, memo_entry)
-    Hashtbl.t;
+    (string * (int * int) list * (int * int) list * int list, scan) Hashtbl.t;
 }
 
 let memo_cap = 8192
@@ -430,17 +449,18 @@ let distinct_count t rel pos =
     constants runs as a posting-list intersection (no row is visited
     that fails an indexed predicate); repeated-variable checks,
     projection and deduplication are int operations on the columns.
-    Returns [(rows, examined)]: [rows] are {e id rows} — row [r] holds
-    the value id of column [List.nth project k] at [r.(k)], never
+    Returns [(scan, examined)]: [rows scan] are {e id rows} — row [r]
+    holds the value id of column [List.nth project k] at [r.(k)], never
     decoded — and [examined] counts the rows the engine actually
     visited, what the semi-join kernel reports as
     [algebra.semijoin.rows_scanned].
 
     Results are memoized per (query, generation): while the data does
-    not move, a repeated scan returns the materialized result with
-    [examined = 0]. Ids are never reclaimed, so compaction leaves every
-    memoized result valid. Returns [None] only for an unknown relation
-    or an out-of-range column. *)
+    not move, a repeated scan returns the same [scan], materialized,
+    with [examined = 0], and with it every kernel operand an earlier
+    call built from its rows ({!operand}). Ids are never reclaimed, so
+    compaction leaves every memoized result valid. Returns [None] only
+    for an unknown relation or an out-of-range column. *)
 let select_project t rel ~consts ~eqs ~project =
   match Hashtbl.find_opt t.rels rel with
   | None -> None
@@ -458,7 +478,7 @@ let select_project t rel ~consts ~eqs ~project =
         match Hashtbl.find_opt t.memo key with
         | Some e when e.mgen = generation t ->
             Obs.Counter.incr c_pushdown_hits;
-            Some (e.mrows, 0)
+            Some (e, 0)
         | _ ->
             let exception Empty in
             let candidates =
@@ -512,9 +532,30 @@ let select_project t rel ~consts ~eqs ~project =
             done;
             let rows = List.rev !rows in
             if Hashtbl.length t.memo >= memo_cap then Hashtbl.reset t.memo;
-            Hashtbl.replace t.memo key { mgen = generation t; mrows = rows };
-            Some (rows, n)
+            let e = { mgen = generation t; mrows = rows; operands = [] } in
+            Hashtbl.replace t.memo key e;
+            Some (e, n)
       end
+
+(** The id rows of a {!select_project} result. *)
+let rows s = s.mrows
+
+(** [operand s op build] — the kernel operand [op] of scan [s]:
+    [build (rows s)] the first time it is asked for, then the stored
+    array, which lives and dies with [s]'s memo entry. The flag is
+    [true] when the operand was reused.
+
+    An entry serves one generation, so an operand never outlives the
+    rows it was built from. A packed key [eid * dictionary_size + v]
+    stays valid for as long, too: the dictionary only grows in an
+    effective {!add}, which moves the generation. *)
+let operand s op build =
+  match List.assoc_opt op s.operands with
+  | Some a -> (a, true)
+  | None ->
+      let a = build s.mrows in
+      s.operands <- (op, a) :: s.operands;
+      (a, false)
 
 (* ------------------------------------------------------------------ *)
 (* Loading and checking                                                *)

@@ -796,6 +796,141 @@ let budget_suite =
           (Obs.Counter.value Coverage.c_budget_fallbacks > f0));
   ]
 
+(* ---------------- kernel operands owned by the scan memo ---------- *)
+
+(* grandparent(A,B) :- parent(A,C), parent(C,D), parent(D,E),
+   parent(F,C). Every body literal reads one memoized scan of parent/2.
+   The decomposition hangs the head under parent(A,C), which hangs
+   under the root parent(C,D) together with the leaves parent(D,E) and
+   parent(F,C). So the scan's key set on its second column serves the
+   leaf parent(F,C) from the memo entry, while parent(A,C), filtered
+   by the head first, must key C on its own rows. *)
+let shared_scan_clause =
+  Clause.make
+    (Atom.make "grandparent" [ va "A"; va "B" ])
+    [
+      Atom.make "parent" [ va "A"; va "C" ];
+      Atom.make "parent" [ va "C"; va "D" ];
+      Atom.make "parent" [ va "D"; va "E" ];
+      Atom.make "parent" [ va "F"; va "C" ];
+    ]
+
+let operand_suite =
+  [
+    tc "kernel operands cached per memoized scan stay exact across store \
+        mutations"
+      (fun () ->
+        let params = Bottom.default_params in
+        let pos = family_ex.Examples.pos in
+        let n = Array.length pos in
+        let cov = Coverage.build ~params family_inst pos in
+        let store = Option.get (Coverage.store cov) in
+        let prefixes =
+          List.filter
+            (fun c -> Clause.length c <= 8)
+            (candidates family_inst params pos 3)
+        in
+        let clauses =
+          (shared_scan_clause :: prefixes)
+          @ List.filter_map Planner.close_cycle prefixes
+        in
+        (* the bag tree the clause is meant to have, on pattern indexes:
+           the head is 0, the body 1-4 in order *)
+        let d =
+          Hypergraph.decompose
+            (List.map Algebra.pattern_vars (patterns_of shared_scan_clause))
+        in
+        let edge b = List.hd d.Hypergraph.bags.(b) in
+        check
+          Alcotest.(list (pair int (option int)))
+          "the shared scan's bag tree"
+          [ (0, Some 1); (1, Some 2); (3, Some 2); (4, Some 2); (2, None) ]
+          (List.map (fun (b, p) -> (edge b, Option.map edge p)) d.Hypergraph.forest);
+        (* the store's facts of every example, as the ground clause
+           per-example subsumption tests against *)
+        let model = Array.copy cov.Coverage.bottoms in
+        let row i (a : Atom.t) = Array.append [| Value.int i |] (Atom.to_tuple a) in
+        let add i (a : Atom.t) =
+          if Columnar.add store a.Atom.rel (row i a) then
+            model.(i) <-
+              { (model.(i)) with Clause.body = model.(i).Clause.body @ [ a ] }
+        in
+        let remove i (a : Atom.t) =
+          check Alcotest.bool "stored fact removed" true
+            (Columnar.remove store a.Atom.rel (row i a));
+          model.(i) <-
+            {
+              (model.(i)) with
+              Clause.body =
+                List.filter (fun b -> not (Atom.equal a b)) model.(i).Clause.body;
+            }
+        in
+        let eids = Array.init n Fun.id in
+        let agree step =
+          let targets = Array.map Subsume.prepare model in
+          List.iteri
+            (fun k clause ->
+              let pattern = Subsume.compile clause in
+              check
+                Alcotest.(array bool)
+                (Fmt.str "step %d, clause %d: %s" step k (Clause.to_string clause))
+                (Array.map
+                   (fun p ->
+                     Subsume.subsumes_compiled ~max_steps:max_int pattern p
+                     = Some true)
+                   targets)
+                (Algebra.semijoin_batch store ~patterns:(patterns_of clause) ~eids))
+            clauses
+        in
+        (* the head's first argument of example [i] *)
+        let a_of i = (Atom.to_tuple pos.(i)).(0) in
+        let parent x y = Atom.of_tuple "parent" (Tuple.of_list [ x; y ]) in
+        let is_parent_of x (b : Atom.t) =
+          String.equal b.Atom.rel "parent" && Value.equal (Atom.to_tuple b).(0) x
+        in
+        let rng = Random.State.make [| 28 |] in
+        let cut = ref None in
+        let built0 = Obs.Counter.value Algebra.c_operands_built in
+        let reused0 = Obs.Counter.value Algebra.c_operands_reused in
+        agree 0;
+        for step = 1 to 12 do
+          let i = Random.State.int rng n in
+          (match step mod 4 with
+          | 1 ->
+              (* cut: example i's A loses its children *)
+              let gone = List.filter (is_parent_of (a_of i)) model.(i).Clause.body in
+              List.iter (remove i) gone;
+              cut := Some (i, gone)
+          | 2 ->
+              (* graft: example i gets example j's facts, j's A renamed
+                 to i's *)
+              let j = Random.State.int rng n in
+              let rename v = if Value.equal v (a_of j) then a_of i else v in
+              List.iter
+                (fun (b : Atom.t) ->
+                  add i (Atom.of_tuple b.Atom.rel (Array.map rename (Atom.to_tuple b))))
+                model.(j).Clause.body
+          | 3 ->
+              (* three generations below i's A, through values the
+                 dictionary has never seen: the packing width grows *)
+              let fresh k = Value.str (Fmt.str "fresh-%d-%d" step k) in
+              add i (parent (a_of i) (fresh 1));
+              add i (parent (fresh 1) (fresh 2));
+              add i (parent (fresh 2) (fresh 3))
+          | _ -> (
+              (* undo the last cut *)
+              match !cut with
+              | Some (i', gone) -> List.iter (add i') gone
+              | None -> ()));
+          agree step
+        done;
+        check Alcotest.bool "operands built" true
+          (Obs.Counter.value Algebra.c_operands_built > built0);
+        check Alcotest.bool "operands reused" true
+          (Obs.Counter.value Algebra.c_operands_reused > reused0));
+  ]
+
 let suite =
   family_suite @ random_suite @ forest_suite @ kernel_cyclic_suite
   @ edge_suite @ mutation_suite @ armg_suite @ alike_suite @ budget_suite
+  @ operand_suite

@@ -4,6 +4,7 @@
 open Castor_relational
 open Castor_logic
 open Helpers
+module Obs = Castor_obs.Obs
 
 let v s = Term.Var s
 
@@ -289,6 +290,38 @@ let minimize_suite =
         Subsume.equivalent c r);
     qt ~count:100 "reduce never grows the clause" clause_gen (fun c ->
         Clause.length (Minimize.reduce c) <= Clause.length c);
+    qt ~count:200
+      "a target with one literal left out answers like prepare of the \
+       shortened clause"
+      QCheck2.Gen.(pair (oneof [ clause_gen; ground_clause_gen ]) clause_gen)
+      (fun (c, other) ->
+        (* same answer, same search steps and arc-consistency scans,
+           under a budget small enough to run out and the default one *)
+        let left_out = Subsume.leave_out (Subsume.prepare c) c in
+        let run pattern max_steps p =
+          let work () =
+            ( Obs.Counter.value Subsume.c_steps,
+              Obs.Counter.value Subsume.c_ac_scans )
+          in
+          let s0, a0 = work () in
+          let r = Subsume.subsumes_compiled ~max_steps pattern p in
+          let s1, a1 = work () in
+          (r, s1 - s0, a1 - a0)
+        in
+        List.for_all
+          (fun i ->
+            let shorter =
+              { c with Clause.body = List.filteri (fun j _ -> j <> i) c.Clause.body }
+            in
+            List.for_all
+              (fun pattern ->
+                List.for_all
+                  (fun max_steps ->
+                    run pattern max_steps (left_out i)
+                    = run pattern max_steps (Subsume.prepare shorter))
+                  [ 2; 60_000 ])
+              (List.map Subsume.compile [ c; other; shorter ]))
+          (List.init (Clause.length c) Fun.id));
   ]
 
 (* ----------------------------- rewriting ---------------------------- *)
