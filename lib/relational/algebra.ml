@@ -309,7 +309,8 @@ let insert set x =
      end
 
 (* The set of the ints [iter] yields, doubled whenever it gets half
-   full, so its size follows the distinct ints, not the calls. *)
+   full, so its size follows the distinct ints, not how many [iter]
+   yields. *)
 let int_set (iter : (int -> unit) -> unit) =
   let set = ref (Array.make 16 (-1)) and n = ref 0 in
   iter (fun x ->
